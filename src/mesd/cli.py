@@ -8,10 +8,13 @@ Commands
     oracle-three same for the three-state task
     ontic-check  run the finite-model inequality batch
 
-Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 oracle difference
-above tolerance.  Output is deterministic: identical configuration gives
-byte-identical files, including when map rows are computed in parallel
-(the `MESD_THREADS` environment variable overrides the worker count).
+Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
+failed: oracle difference above `--tol`, or an ontic-check model failing a
+bound or the identity.  Output is deterministic: identical configuration
+gives byte-identical files.  `map` computes and writes one theta-row at a
+time, so its memory does not grow with the grid.  The `MESD_THREADS`
+environment variable is still validated (a positive integer, else exit 2)
+but selects nothing.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,34 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
-
-MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
-
-
-@dataclass(frozen=True)
-class AdvantageCell:
-    """One grid sample of the (theta, prior) scan."""
-
-    theta: float
-    prior_p: float
-    s_quantum: float
-    s_nc_bound: float
-    gap: float
-    advantage: bool
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs of a map run; echoed into JSON output."""
-
-    command: str
-    theta_steps: int
-    prior_steps: int
-    format: str
-
-    def __post_init__(self) -> None:
-        if self.theta_steps < 2 or self.prior_steps < 2:
-            raise ValueError("grid step counts must be >= 2")
 
 
 def _fmt(x: float) -> str:
@@ -77,60 +50,28 @@ def _fmt_num(x: float) -> float:
     return float(_fmt(x))
 
 
-def _cell(theta: float, prior: float) -> AdvantageCell:
-    pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
-    return AdvantageCell(
-        theta=theta,
-        prior_p=prior,
-        s_quantum=pair.quantum,
-        s_nc_bound=pair.noncontextual,
-        gap=pair.gap,
-        advantage=pair.advantage,
-    )
-
-
-def _cell_row(cell: AdvantageCell) -> str:
-    return ",".join(
-        (
-            _fmt(cell.theta),
-            _fmt(cell.prior_p),
-            _fmt(cell.s_quantum),
-            _fmt(cell.s_nc_bound),
-            _fmt(cell.gap),
-            "true" if cell.advantage else "false",
-        )
-    )
-
-
-def _cell_obj(cell: AdvantageCell) -> dict:
-    return {
-        "theta": _fmt_num(cell.theta),
-        "prior": _fmt_num(cell.prior_p),
-        "s_quantum": _fmt_num(cell.s_quantum),
-        "s_nc_bound": _fmt_num(cell.s_nc_bound),
-        "gap": _fmt_num(cell.gap),
-        "advantage": cell.advantage,
-    }
-
-
-def _worker_count() -> int:
+def _check_threads() -> int:
+    """Validate MESD_THREADS, kept for compatibility; it selects nothing."""
     raw = os.environ.get("MESD_THREADS")
     if raw is None:
-        return min(4, os.cpu_count() or 1)
+        return EXIT_OK
     try:
         n = int(raw)
     except ValueError:
         n = 0
     if n < 1:
-        raise SystemExit(
-            _usage_error(f"MESD_THREADS must be a positive integer, got {raw!r}")
-        )
-    return n
+        return _usage_error(f"MESD_THREADS must be a positive integer, got {raw!r}")
+    return EXIT_OK
 
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _io_error(out: str, exc: OSError) -> int:
+    print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+    return EXIT_IO
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -141,25 +82,29 @@ def _emit(text: str, out: str | None) -> int:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _io_error(out, exc)
     return EXIT_OK
+
+
+def _csv_row(record: dict) -> str:
+    return ",".join(
+        "true" if v is True else "false" if v is False else
+        v if isinstance(v, str) else _fmt(v)
+        for v in record.values()
+    )
+
+
+def _json_obj(record: dict) -> dict:
+    return {
+        k: (v if isinstance(v, (bool, str, int)) else _fmt_num(v))
+        for k, v in record.items()
+    }
 
 
 def _render_record(record: dict, fmt: str) -> str:
     if fmt == "csv":
-        header = ",".join(record)
-        row = ",".join(
-            "true" if v is True else "false" if v is False else
-            v if isinstance(v, str) else _fmt(v)
-            for v in record.values()
-        )
-        return f"{header}\n{row}\n"
-    jsonable = {
-        k: (v if isinstance(v, (bool, str, int)) else _fmt_num(v))
-        for k, v in record.items()
-    }
-    return json.dumps(jsonable, indent=2) + "\n"
+        return f"{','.join(record)}\n{_csv_row(record)}\n"
+    return json.dumps(_json_obj(record), indent=2) + "\n"
 
 
 def _resolve_angle(args: argparse.Namespace, rad_flag: str, deg_flag: str) -> float | None:
@@ -191,11 +136,10 @@ def cmd_three(args: argparse.Namespace) -> int:
     theta = _resolve_angle(args, "--theta", "--theta-deg")
     if theta is None:
         return _usage_error("one of --theta or --theta-deg is required")
-    if not 0.0 <= theta <= math.pi / 2.0:
-        return _usage_error(f"--theta must lie in [0, pi/2], got {theta}")
-    if not 0.0 <= args.prior <= 0.5:
-        return _usage_error(f"--prior must lie in [0, 1/2], got {args.prior}")
-    ensemble = MirrorEnsemble(theta=theta, prior_p=args.prior)
+    try:
+        ensemble = MirrorEnsemble(theta=theta, prior_p=args.prior)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     pair = analytic.advantage_three(ensemble)
     record = {
         "threshold_prior": analytic.threshold_prior(theta),
@@ -208,20 +152,43 @@ def cmd_three(args: argparse.Namespace) -> int:
     return _emit(_render_record(record, args.format), args.out)
 
 
-def _map_rows(config: RunConfig) -> Iterable[list[AdvantageCell]]:
-    thetas = [
-        (math.pi / 2.0) * i / (config.theta_steps - 1) for i in range(config.theta_steps)
-    ]
-    priors = [0.5 * j / (config.prior_steps - 1) for j in range(config.prior_steps)]
-
-    def row(theta: float) -> list[AdvantageCell]:
-        return [_cell(theta, p) for p in priors]
-
-    workers = _worker_count()
-    if workers == 1:
-        return [row(t) for t in thetas]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(row, thetas))
+def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
+    """The map file in pieces: one piece per theta-row of cells, plus the
+    CSV header or the JSON text around the cells list."""
+    priors = [0.5 * j / (prior_steps - 1) for j in range(prior_steps)]
+    if fmt == "json":
+        config = {
+            "command": "map",
+            "theta_steps": theta_steps,
+            "prior_steps": prior_steps,
+            "format": fmt,
+        }
+        head, tail = json.dumps({"config": config, "cells": []}, indent=2).split("[]")
+        yield head + "["
+    for i in range(theta_steps):
+        theta = (math.pi / 2.0) * i / (theta_steps - 1)
+        records = []
+        for prior in priors:
+            pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
+            records.append({
+                "theta": theta,
+                "prior": prior,
+                "s_quantum": pair.quantum,
+                "s_nc_bound": pair.noncontextual,
+                "gap": pair.gap,
+                "advantage": pair.advantage,
+            })
+        if fmt == "csv":
+            if i == 0:
+                yield ",".join(records[0]) + "\n"
+            yield "".join(_csv_row(r) + "\n" for r in records)
+        else:
+            # The cells sit one level deeper in the payload than in a bare
+            # list: drop the row list's brackets and indent every line once more.
+            cells = json.dumps([_json_obj(r) for r in records], indent=2)[1:-2]
+            yield ("," if i else "") + cells.replace("\n", "\n  ")
+    if fmt == "json":
+        yield "\n  ]" + tail + "\n"
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -229,41 +196,27 @@ def cmd_map(args: argparse.Namespace) -> int:
         return _usage_error(f"--theta-steps must be >= 2, got {args.theta_steps}")
     if args.prior_steps < 2:
         return _usage_error(f"--prior-steps must be >= 2, got {args.prior_steps}")
-    config = RunConfig(
-        command="map",
-        theta_steps=args.theta_steps,
-        prior_steps=args.prior_steps,
-        format=args.format,
-    )
+    status = _check_threads()
+    if status != EXIT_OK:
+        return status
     try:
-        rows = _map_rows(config)
-    except SystemExit as exc:
-        return int(exc.code or EXIT_USAGE)
-    cells = [cell for row in rows for cell in row]
-    if args.format == "csv":
-        text = MAP_HEADER + "\n" + "".join(_cell_row(c) + "\n" for c in cells)
-    else:
-        payload = {
-            "config": {
-                "command": config.command,
-                "theta_steps": config.theta_steps,
-                "prior_steps": config.prior_steps,
-                "format": config.format,
-            },
-            "cells": [_cell_obj(c) for c in cells],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    return _emit(text, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(_map_chunks(args.theta_steps, args.prior_steps, args.format))
+    except OSError as exc:
+        return _io_error(args.out, exc)
+    return EXIT_OK
 
 
 def cmd_oracle_two(args: argparse.Namespace) -> int:
     sep = _resolve_angle(args, "--sep", "--sep-deg")
     if sep is None:
         return _usage_error("one of --sep or --sep-deg is required")
+    if not math.isfinite(sep):
+        return _usage_error(f"--sep/--sep-deg must be finite, got {sep}")
     if not 0.0 <= args.prior <= 1.0:
         return _usage_error(f"--prior must lie in [0, 1], got {args.prior}")
-    if args.tol <= 0.0:
-        return _usage_error(f"--tol must be positive, got {args.tol}")
+    if not 0.0 < args.tol < math.inf:
+        return _usage_error(f"--tol must be finite and positive, got {args.tol}")
     s1 = make_state(0.0)
     s2 = make_state(sep)
     scenario = TwoStateScenario(
@@ -283,13 +236,12 @@ def cmd_oracle_three(args: argparse.Namespace) -> int:
     theta = _resolve_angle(args, "--theta", "--theta-deg")
     if theta is None:
         return _usage_error("one of --theta or --theta-deg is required")
-    if not 0.0 <= theta <= math.pi / 2.0:
-        return _usage_error(f"--theta must lie in [0, pi/2], got {theta}")
-    if not 0.0 <= args.prior <= 0.5:
-        return _usage_error(f"--prior must lie in [0, 1/2], got {args.prior}")
-    if args.tol <= 0.0:
-        return _usage_error(f"--tol must be positive, got {args.tol}")
-    ensemble = MirrorEnsemble(theta=theta, prior_p=args.prior)
+    try:
+        ensemble = MirrorEnsemble(theta=theta, prior_p=args.prior)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if not 0.0 < args.tol < math.inf:
+        return _usage_error(f"--tol must be finite and positive, got {args.tol}")
     expected = analytic.quantum_three(ensemble)
     try:
         result = oracle.optimize_three(
@@ -354,7 +306,7 @@ def cmd_ontic_check(args: argparse.Namespace) -> int:
     print(f"three-state bound: {three_pass}/{n} pass")
     print(f"decomposition identity: {identity_pass}/{n} pass")
     all_pass = two_pass == n and three_pass == n and identity_pass == n
-    return EXIT_OK if all_pass else 1
+    return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 
 def build_parser() -> argparse.ArgumentParser:

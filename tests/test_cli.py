@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mesd import ontic
 from mesd.cli import main
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
@@ -224,6 +226,36 @@ class TestCmdMap:
         capsys.readouterr()
 
 
+    # Reference SHA-256 of the map bytes.  4x4 puts p = 1/3 = p*(0) on the
+    # grid; 7x4 puts p = 1/3, theta = pi/6 and theta = pi/3 on it.
+    @pytest.mark.parametrize("fmt,theta_steps,prior_steps,digest", [
+        ("csv", 2, 2, "2a0b8e2d5c84785bf1ef46ff3c353b7830d20b09ee5963e9fdfb20f511865c95"),
+        ("csv", 4, 4, "7ee3d055017e243cda2c34a00b4862c562533024102dc5fffac92f0bacb1e19f"),
+        ("csv", 7, 4, "a19ffbf29b641d8741754f2c121b2f3d30ff34ea6a5989aef1f992e2b4bdbc9c"),
+        ("csv", 11, 11, "3774173d8363a86b495fe21cee1b4252a213f99f61dd6794df6a3e4a4755050c"),
+        ("json", 2, 2, "f221f4d5670e59df0dd61fa4bb68d47dcdb6859992b51cdc72a6f5f7ec88f341"),
+        ("json", 4, 4, "98a352793f70da5f868d7914ec0ca42aac90aa21f8b4353a8ceb2b473db7fbea"),
+        ("json", 7, 4, "b753cf99c49d1f91818194b897b0e298550253bcb86a8534502c2bb1cd5fb873"),
+        ("json", 11, 11, "e7be4faa4f11a9f2b99ca510fa01197ad82faf7a0ab8f5fb36b83ca265787645"),
+    ])
+    def test_bytes_match_reference_digest(self, tmp_path, capsys, fmt,
+                                          theta_steps, prior_steps, digest):
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["map", "--theta-steps", str(theta_steps),
+                     "--prior-steps", str(prior_steps),
+                     "--out", str(out), "--format", fmt]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_bad_thread_override_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MESD_THREADS", "zero")
+        out = tmp_path / "grid.csv"
+        assert main(["map", "--theta-steps", "3", "--prior-steps", "3",
+                     "--out", str(out)]) == 2
+        assert "MESD_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCmdOracle:
     def test_oracle_two_orthogonal(self, capsys):
         code, out = run(capsys, "oracle-two", "--sep-deg", "90", "--prior", "0.5")
@@ -259,6 +291,38 @@ class TestCmdOracle:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("command,angle", [
+        ("oracle-two", ["--sep-deg", "30"]),
+        ("oracle-three", ["--theta-deg", "60"]),
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_must_be_finite_and_positive(self, capsys, command, angle, tol):
+        code = main([command, *angle, "--prior", "0.1", "--grid-n", "16",
+                     "--refine-iters", "2", "--tol", tol])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command,flag,rest", [
+        ("oracle-two", "--sep", ["--prior", "0.3"]),
+        ("oracle-two", "--sep-deg", ["--prior", "0.3"]),
+        ("three", "--theta", ["--prior", "0.3"]),
+        ("three", "--theta-deg", ["--prior", "0.3"]),
+        ("three", "--prior", ["--theta-deg", "60"]),
+        ("oracle-three", "--theta", ["--prior", "0.3"]),
+        ("oracle-three", "--theta-deg", ["--prior", "0.3"]),
+        ("oracle-three", "--prior", ["--theta-deg", "60"]),
+    ])
+    def test_exits_2_with_error_line(self, capsys, command, flag, rest, value):
+        code = main([command, flag, value, *rest])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 class TestCmdOnticCheck:
     def test_small_batch_passes(self, capsys):
         code, out = run(capsys, "ontic-check", "--num-models", "100", "--seed", "7")
@@ -276,6 +340,16 @@ class TestCmdOnticCheck:
     def test_zero_models_exits_2(self, capsys):
         assert main(["ontic-check", "--num-models", "0"]) == 2
         capsys.readouterr()
+
+    def test_failing_model_exits_4(self, capsys, monkeypatch):
+        def failing(model):
+            return ontic.TwoStateBoundReport(success=1.0, overlap=1.0, bound=0.5,
+                                             passed=False)
+
+        monkeypatch.setattr(ontic, "check_two_state_bound", failing)
+        code, out = run(capsys, "ontic-check", "--num-models", "3", "--seed", "7")
+        assert code == 4
+        assert "two-state bound: 0/3 pass" in out
 
 
 class TestEntryPoints:
