@@ -5,7 +5,7 @@ Commands
     three        same for the mirror-symmetric triple (theta, prior)
     map          scan the (theta, prior) grid and write CSV/JSON cells
     oracle-two   compare the closed form against the brute-force optimizer
-    oracle-three same for the three-state task
+    oracle-three same for the three-state task, with a certified upper bound
     ontic-check  run the finite-model inequality batch
 
 Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
@@ -360,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_o2)
     p_o2.set_defaults(func=cmd_oracle_two)
 
-    p_o3 = sub.add_parser("oracle-three", help="brute-force check of the three-state optimum")
+    p_o3 = sub.add_parser("oracle-three", help="certified check of the three-state optimum")
     angle3 = p_o3.add_mutually_exclusive_group(required=True)
     angle3.add_argument("--theta", type=float, default=None)
     angle3.add_argument("--theta-deg", type=float, default=None)
     p_o3.add_argument("--prior", type=float, required=True)
-    p_o3.add_argument("--grid-n", type=int, default=64)
-    p_o3.add_argument("--refine-iters", type=int, default=200)
-    p_o3.add_argument("--seed", type=int, default=0)
+    p_o3.add_argument("--grid-n", type=int, default=64, help="accepted, must be >= 16; no grid")
+    p_o3.add_argument("--refine-iters", type=int, default=200, help="iteration budget")
+    p_o3.add_argument("--seed", type=int, default=0, help="accepted; the solver is deterministic")
     p_o3.add_argument("--tol", type=float, default=1e-3)
     add_io(p_o3)
     p_o3.set_defaults(func=cmd_oracle_three)

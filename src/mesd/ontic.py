@@ -32,9 +32,9 @@ def _as_distribution_row(row: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(row, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError(f"{what} has negative entries")
-    if abs(float(arr.sum()) - 1.0) > ROW_SUM_TOL:
+    if not abs(float(arr.sum()) - 1.0) <= ROW_SUM_TOL:
         raise ValueError(f"{what} must sum to 1, got {float(arr.sum())!r}")
     return arr
 
@@ -53,10 +53,10 @@ class FiniteOnticModel:
         mu = np.array(self.distributions, dtype=float)
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ValueError(f"distributions must be a 2-D matrix, got shape {mu.shape}")
-        if np.any(mu < 0.0):
+        if not np.all(mu >= 0.0):
             raise ValueError("epistemic distributions must be nonnegative")
         row_sums = mu.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
+        if not np.max(np.abs(row_sums - 1.0)) <= ROW_SUM_TOL:
             raise ValueError(f"every row must sum to 1, got sums {row_sums}")
         if len(self.priors) != mu.shape[0]:
             raise ValueError("one prior per preparation required")
@@ -87,10 +87,10 @@ class ResponseFunction:
         xi = np.array(self.values, dtype=float)
         if xi.ndim != 2:
             raise ValueError(f"response values must be a 2-D matrix, got shape {xi.shape}")
-        if np.any(xi < 0.0) or np.any(xi > 1.0):
+        if not np.all((xi >= 0.0) & (xi <= 1.0)):
             raise ValueError("response entries must lie in [0, 1]")
         col_sums = xi.sum(axis=0)
-        if np.max(np.abs(col_sums - 1.0)) > ROW_SUM_TOL:
+        if not np.max(np.abs(col_sums - 1.0)) <= ROW_SUM_TOL:
             raise ValueError("outcome probabilities must sum to 1 for every ontic state")
         xi.flags.writeable = False
         object.__setattr__(self, "values", xi)

@@ -1,18 +1,16 @@
-"""Direct numerical maximization of discrimination success over measurements.
+"""Numerical maximization of discrimination success over measurements.
 
-The analytic optima in `analytic` are verified here by brute force: build a
-parametrized family of candidate measurements, evaluate the success
-functional sum_i p_i <psi_i| E_i |psi_i> through the Born rule, and climb.
+The analytic optima in `analytic` are checked here against optima found
+without the closed forms, with the success functional
+sum_i p_i <psi_i| E_i |psi_i> evaluated through the Born rule.
 
-For two hypotheses the candidates are projective two-outcome measurements
-fixed by one angle.  For three hypotheses the candidates are in-plane
-weighted rank-1 triples a_i |phi(alpha_i)><phi(alpha_i)|: given the three
-angles, completeness (sum of effects = identity) is a 3x3 linear system for
-the weights, so the search space is just the angle triple.  Extremal qubit
-POVMs have rank-1 elements, so this family contains a global optimum for
-in-plane pure-state ensembles; two-outcome degenerate candidates (one weight
-exactly zero) are enumerated explicitly because boundary optima are easy for
-an interior search to miss.
+Two hypotheses: projective measurements fixed by one angle, searched by a
+uniform angle grid and golden-section refinement.  Three hypotheses: all
+POVMs, searched by the fixed-point iteration of Jezek, Rehacek and Fiurasek
+(PRA 65, 060301(R), 2002), whose complete rank-1 iterates map onto
+`MeasurementParams3`.  Each iterate is paired with the Holevo /
+Yuen-Kennedy-Lax dual, so the verdict is an interval: the success of the
+POVM found and a proven upper bound on the success of every measurement.
 """
 
 from __future__ import annotations
@@ -38,9 +36,11 @@ from .qcore import (
 TWO_PI = 2.0 * math.pi
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Completeness solve below this determinant magnitude is ill-conditioned.
-_DET_TOL = 1e-9
 _WEIGHT_TOL = 1e-12
+_MAX_GRID_N = 2**20
+# The three-state iteration stops once dual bound - success is this small.
+_GAP_TOL = 1e-13
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -73,14 +73,14 @@ class MeasurementParams3:
         a = tuple(float(x) for x in self.angles)
         if len(w) != 3 or len(a) != 3:
             raise ValueError("three weights and three angles required")
-        if any(x < -_WEIGHT_TOL for x in w):
+        if not all(x >= -_WEIGHT_TOL for x in w):
             raise ValueError(f"weights must be nonnegative, got {w}")
         w = tuple(max(0.0, x) for x in w)
-        if abs(sum(w) - 2.0) > 1e-9:
+        if not abs(sum(w) - 2.0) <= 1e-9:
             raise ValueError(f"weights must sum to 2, got sum {sum(w)!r}")
         bx = sum(wi * math.cos(2.0 * ai) for wi, ai in zip(w, a))
         by = sum(wi * math.sin(2.0 * ai) for wi, ai in zip(w, a))
-        if abs(bx) > 1e-9 or abs(by) > 1e-9:
+        if not (abs(bx) <= 1e-9 and abs(by) <= 1e-9):
             raise ValueError(
                 f"weighted directions must cancel for completeness, got ({bx!r}, {by!r})"
             )
@@ -97,12 +97,16 @@ class MeasurementParams3:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Best success found, the measurement achieving it, and the number of
-    objective evaluations spent."""
+    """The best measurement found, its Born-rule success, the candidates
+    evaluated (grid angles plus golden-section steps for optimize_two,
+    fixed-point iterates for optimize_three), and dual_bound, an upper bound
+    on the success of every measurement, proven up to float rounding: the
+    optimum lies in [success, dual_bound].  optimize_two reports 1.0."""
 
     success: float
     params: MeasurementParams2 | MeasurementParams3
     evaluations: int
+    dual_bound: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.success <= 1.0:
@@ -170,10 +174,11 @@ def optimize_two(
     Uniform grid of grid_n angles over one projector period [0, pi),
     followed by golden-section refinement in the bracket around the best
     grid point.  The objective is a single harmonic in 2*angle, so the
-    refined value is the global maximum.
+    refined value is the global maximum.  grid_n must lie in [64, 2**20],
+    which bounds the memory of the grid (one float per angle).
     """
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be >= 64, got {grid_n}")
+    if not 64 <= grid_n <= _MAX_GRID_N:
+        raise ValueError(f"grid_n must lie in [64, {_MAX_GRID_N}], got {grid_n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prior must lie in [0, 1], got {p!r}")
     t1, t2 = s1.angle, s2.angle
@@ -195,119 +200,70 @@ def optimize_two(
         x = float(alphas[best])
     params = MeasurementParams2(x)
     return OracleResult(
-        success=success_two(s1, s2, p, params), params=params, evaluations=evals
+        success=success_two(s1, s2, p, params),
+        params=params,
+        evaluations=evals,
+        dual_bound=1.0,
     )
 
 
-def _solve_weights(angles: Sequence[float]) -> tuple[float, float, float] | None:
-    """Weights making the three projectors at `angles` a complete POVM, or
-    None when the linear system is singular or a weight is negative."""
-    a1, a2, a3 = (2.0 * x for x in angles)
-    det = math.sin(a3 - a2) - math.sin(a3 - a1) + math.sin(a2 - a1)
-    if abs(det) < _DET_TOL:
-        return None
-    w1 = 2.0 * math.sin(a3 - a2) / det
-    w2 = -2.0 * math.sin(a3 - a1) / det
-    w3 = 2.0 * math.sin(a2 - a1) / det
-    if w1 < -_WEIGHT_TOL or w2 < -_WEIGHT_TOL or w3 < -_WEIGHT_TOL:
-        return None
-    # Completeness caps every weight at 1 (the other two effects must absorb
-    # the rest of the identity), so values outside [0, 1] are solver noise.
-    return tuple(min(1.0, max(0.0, w)) for w in (w1, w2, w3))
+def _certificate(
+    kets: np.ndarray, priors: np.ndarray, effects: np.ndarray
+) -> tuple[float, float]:
+    """(Tr Gamma, Tr Gamma + 2t) for the complete POVM `effects`: its success
+    and an upper bound on the success of every measurement.  With
+    Gamma = Herm(sum_i p_i rho_i E_i) and t = max_i lambda_max(p_i rho_i - Gamma)^+,
+    Gamma + t I dominates every p_i rho_i, so it is feasible for the
+    Holevo / Yuen-Kennedy-Lax dual, whose value is its trace."""
+    weighted = priors[:, None, None] * np.einsum("ia,ib->iab", kets, kets)
+    total = np.einsum("iab,ibc->ac", weighted, effects)
+    gamma = 0.5 * (total + total.T)
+    t = max(0.0, float(np.linalg.eigvalsh(weighted - gamma)[:, -1].max()))
+    return float(np.trace(gamma)), float(np.trace(gamma)) + 2.0 * t
 
 
-def _three_objective(
-    ensemble: MirrorEnsemble, angles: Sequence[float]
-) -> tuple[float, tuple[float, float, float]] | None:
-    """Success of the solved-weight POVM at `angles`, or None if infeasible."""
-    weights = _solve_weights(angles)
-    if weights is None:
-        return None
-    t, p = ensemble.theta, ensemble.prior_p
-    state_angles = (t, -t, 0.0)
-    prior_vec = (p, p, 1.0 - 2.0 * p)
-    value = sum(
-        pr * w * math.cos(sa - al) ** 2
-        for pr, w, sa, al in zip(prior_vec, weights, state_angles, angles)
-    )
-    return value, weights
-
-
-def _coordinate_descent(
-    ensemble: MirrorEnsemble,
-    start: tuple[float, float, float],
-    start_value: float,
-    step0: float,
-    refine_iters: int,
-) -> tuple[float, tuple[float, float, float], int]:
-    """Greedy per-coordinate climb with shrinking step; infeasible moves are
-    simply rejected, which keeps the walk inside the weight-feasible region."""
-    angles = list(start)
-    best = start_value
-    step = step0
-    evals = 0
-    for _ in range(refine_iters):
-        improved = False
-        for i in range(3):
-            for delta in (step, -step):
-                trial = list(angles)
-                trial[i] = (trial[i] + delta) % math.pi
-                result = _three_objective(ensemble, trial)
-                evals += 1
-                if result is not None and result[0] > best:
-                    best, angles = result[0], trial
-                    improved = True
-        if not improved:
-            step *= 0.6
-            if step < 1e-13:
-                break
-    return best, (angles[0], angles[1], angles[2]), evals
-
-
-def _degenerate_candidates(
-    ensemble: MirrorEnsemble, grid_n: int, refine_iters: int
-) -> tuple[list[tuple[float, tuple[float, float, float], tuple[float, float, float]]], int]:
-    """Two-outcome projective candidates: outcome i at phi(alpha), outcome j
-    at phi(alpha + pi/2), the third effect zero.  All six (i, j) assignments
-    are scanned since the optimal low-prior strategy may ignore a state."""
-    t, p = ensemble.theta, ensemble.prior_p
-    state_angles = (t, -t, 0.0)
-    prior_vec = (p, p, 1.0 - 2.0 * p)
-    n_1d = max(grid_n * grid_n, 512)
-    out = []
-    evals = 0
-    for i in range(3):
-        for j in range(3):
-            if i == j:
+def _fixed_point(
+    kets: np.ndarray, priors: np.ndarray, iters: int
+) -> tuple[np.ndarray, float, int]:
+    """Best effects, smallest dual bound and number of iterates evaluated of
+    the Jezek-Rehacek-Fiurasek iteration E_i <- G^-1 A_i G^-1 from E_i = I/n,
+    with A_i = p_i rho_i E_i p_i rho_i and G = (sum_i A_i)^(1/2).  Every
+    iterate E_i = a_i G^-1 |psi_i><psi_i| G^-1 is complete and rank-1, so the
+    iteration runs on the weights a: the start is a_i = p_i^2 (their scale
+    cancels) and a step multiplies a_i by (p_i <psi_i|G^-1|psi_i>)^2.  Plain
+    steps crawl where an optimal effect vanishes, at and above the threshold
+    prior, so that factor is raised to omega, which doubles while the
+    success does not fall and returns to 1 otherwise."""
+    weights, ratio = (priors / priors.max()) ** 2, np.ones(len(priors))
+    omega, value, primal, dual = 1.0, -np.inf, -np.inf, np.inf
+    for evaluations in range(1, iters + 2):
+        trial = weights * (ratio / ratio.max()) ** omega
+        lam, vecs = np.linalg.eigh(np.einsum("i,ia,ib->ab", trial, kets, kets))
+        if not lam[0] > _TINY * lam[1]:  # G singular, or G^-1 inexact in floats
+            if evaluations > 1:
+                omega = 1.0
                 continue
-
-            def objective(alpha: float, i: int = i, j: int = j) -> float:
-                return (
-                    prior_vec[i] * math.cos(state_angles[i] - alpha) ** 2
-                    + prior_vec[j] * math.sin(state_angles[j] - alpha) ** 2
-                )
-
-            alphas = np.linspace(0.0, math.pi, n_1d, endpoint=False)
-            values = prior_vec[i] * np.cos(state_angles[i] - alphas) ** 2 + prior_vec[
-                j
-            ] * np.sin(state_angles[j] - alphas) ** 2
-            best = int(np.argmax(values))
-            spacing = math.pi / n_1d
-            evals += n_1d
-            x, fx, used = _golden_max(
-                objective, alphas[best] - spacing, alphas[best] + spacing, refine_iters
-            )
-            evals += used
-            if fx < values[best]:
-                x, fx = float(alphas[best]), float(values[best])
-            weights = [0.0, 0.0, 0.0]
-            angles = [0.0, 0.0, 0.0]
-            weights[i] = 1.0
-            weights[j] = 1.0
-            angles[i] = x % math.pi
-            angles[j] = (x + math.pi / 2.0) % math.pi
-            out.append((fx, tuple(weights), tuple(angles)))
-    return out, evals
+            # Every weighted state lies on one ray r; the projector on r for the
+            # outcome with the largest p_i <psi_i|r>^2 plus the complement is optimal.
+            k = int(np.argmax(priors * (kets @ vecs[:, -1]) ** 2))
+            best = np.zeros((len(kets), 2, 2))
+            best[k] = np.outer(vecs[:, -1], vecs[:, -1])
+            best[(k + 1) % len(kets)] = np.eye(2) - best[k]
+            return best, _certificate(kets, priors, best)[1], 1
+        rows = kets @ ((vecs / np.sqrt(lam)) @ vecs.T)
+        effects = trial[:, None, None] * np.einsum("ia,ib->iab", rows, rows)
+        trial_value, bound = _certificate(kets, priors, effects)
+        dual = min(dual, bound)
+        if trial_value > primal:
+            primal, best = trial_value, effects
+        if trial_value >= value or omega == 1.0:
+            weights, value, omega = trial / trial.max(), trial_value, 2.0 * omega
+            ratio = (priors * np.einsum("ia,ia->i", kets, rows)) ** 2
+        else:
+            omega = 1.0
+        if dual - primal <= _GAP_TOL:
+            break
+    return best, dual, evaluations
 
 
 def success_three(ensemble: MirrorEnsemble, m: MeasurementParams3) -> float:
@@ -321,87 +277,31 @@ def optimize_three(
     grid_n: int = 64,
     refine_iters: int = 200,
     seed: int = 0,
-    restarts: int = 8,
 ) -> OracleResult:
-    """Maximize success_three over the in-plane rank-1 POVM family.
+    """Maximize three-state success over all measurements, with a certificate.
 
-    Stages: a vectorized grid_n^3 scan over angle triples (weights solved
-    from completeness, infeasible combinations discarded), coordinate
-    descent with shrinking step from the best grid point and from
-    seed-chosen random restarts, and the explicit two-outcome degenerate
-    family.  Exact ties are broken toward the lexicographically smallest
-    angle triple, so results are reproducible for a given seed.
+    Runs `_fixed_point` for at most `refine_iters` steps and returns the
+    best POVM visited as MeasurementParams3, its Born-rule success, the
+    smallest dual bound visited and the number of iterates evaluated.
+    `grid_n` (>= 16) and `seed` are validated and accepted only: there is
+    no grid and no random start, so every seed gives the same result.
     """
-    if grid_n < 16:
-        raise ValueError(f"grid_n must be >= 16 per angle, got {grid_n}")
-    t, p = ensemble.theta, ensemble.prior_p
-
-    alphas = np.linspace(0.0, math.pi, grid_n, endpoint=False)
-    # sin(2a_k - 2a_j) table drives the Cramer solution of the completeness system
-    sin_kj = np.sin(2.0 * (alphas[None, :] - alphas[:, None]))  # [j, k] = sin(2a_k-2a_j)
-    det = sin_kj[None, :, :] - sin_kj[:, None, :] + sin_kj[:, :, None]
-    w1 = 2.0 * sin_kj[None, :, :]
-    w2 = -2.0 * sin_kj[:, None, :]
-    w3 = 2.0 * sin_kj[:, :, None]
-    feasible = np.abs(det) >= _DET_TOL
-    safe_det = np.where(feasible, det, 1.0)
-    w1 = w1 / safe_det
-    w2 = w2 / safe_det
-    w3 = w3 / safe_det
-    feasible &= (w1 >= -_WEIGHT_TOL) & (w2 >= -_WEIGHT_TOL) & (w3 >= -_WEIGHT_TOL)
-
-    g1 = p * np.cos(t - alphas) ** 2
-    g2 = p * np.cos(-t - alphas) ** 2
-    g3 = (1.0 - 2.0 * p) * np.cos(0.0 - alphas) ** 2
-    values = (
-        w1 * g1[:, None, None] + w2 * g2[None, :, None] + w3 * g3[None, None, :]
+    if grid_n < 16 or refine_iters < 0:
+        raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
+    # Both mirror kets from one (cos, sin) pair: exact symmetry keeps their
+    # weights equal, where over-relaxed steps would amplify rounding noise.
+    c, s = math.cos(ensemble.theta), math.sin(ensemble.theta)
+    kets = np.array([[c, s], [c, -s], [1.0, 0.0]])
+    priors = np.array(ensemble.priors().probabilities)
+    effects, dual, evaluations = _fixed_point(kets, priors, refine_iters)
+    tops = np.linalg.eigh(effects)[1][:, :, -1]
+    params = MeasurementParams3(
+        weights=tuple(np.trace(effects, axis1=1, axis2=2)),
+        angles=tuple(np.arctan2(tops[:, 1], tops[:, 0])),
     )
-    values = np.where(feasible, values, -np.inf)
-    evals = values.size
-
-    candidates: list[tuple[float, tuple[float, float, float], tuple[float, float, float]]] = []
-
-    if np.any(feasible):
-        flat_best = int(np.argmax(values))  # first max in C order = lexicographic min
-        i, j, k = np.unravel_index(flat_best, values.shape)
-        start = (float(alphas[i]), float(alphas[j]), float(alphas[k]))
-        spacing = math.pi / grid_n
-        start_result = _three_objective(ensemble, start)
-        evals += 1
-        if start_result is not None:
-            best_value, best_angles, used = _coordinate_descent(
-                ensemble, start, start_result[0], spacing, refine_iters
-            )
-            evals += used
-            solved = _solve_weights(best_angles)
-            if solved is not None:
-                candidates.append((best_value, solved, best_angles))
-
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            trial = tuple(float(x) for x in rng.uniform(0.0, math.pi, size=3))
-            result = _three_objective(ensemble, trial)
-            evals += 1
-            if result is None:
-                continue
-            value, angles, used = _coordinate_descent(
-                ensemble, trial, result[0], spacing, refine_iters
-            )
-            evals += used
-            solved = _solve_weights(angles)
-            if solved is not None:
-                candidates.append((value, solved, angles))
-
-    degenerate, used = _degenerate_candidates(ensemble, grid_n, refine_iters)
-    evals += used
-    candidates.extend(degenerate)
-
-    # The degenerate projective family is always feasible, so candidates is
-    # never empty.
-    _, best_weights, best_angles = max(
-        candidates, key=lambda cand: (cand[0], tuple(-a for a in cand[2]))
-    )
-    params = MeasurementParams3(weights=best_weights, angles=best_angles)
     return OracleResult(
-        success=success_three(ensemble, params), params=params, evaluations=evals
+        success=success_three(ensemble, params),
+        params=params,
+        evaluations=evaluations,
+        dual_bound=dual,
     )

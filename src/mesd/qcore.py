@@ -91,9 +91,9 @@ class Effect:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect must be a 2x2 matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("non-Hermitian effect")
-        if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
+        if not np.min(np.linalg.eigvalsh(m)) >= -PSD_TOL:
             raise ValueError("non-positive effect")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -105,7 +105,7 @@ class Effect:
     @classmethod
     def scaled_projector(cls, weight: float, state: PureState) -> "Effect":
         """weight * |psi><psi| with weight >= 0 (rank-1 POVM building block)."""
-        if weight < 0.0:
+        if not weight >= 0.0:
             raise ValueError("non-positive effect")
         return cls(weight * state.projector())
 
@@ -123,7 +123,7 @@ def born_probability(state: PureState, effect: Effect) -> float:
     """
     k = state.ket.astype(complex)
     value = float(np.real(k.conj() @ effect.matrix @ k))
-    if value < -1e-12 or value > 1.0 + 1e-12:
+    if not -1e-12 <= value <= 1.0 + 1e-12:
         raise ValueError(
             f"effect gives Born weight {value!r} outside [0, 1]: invalid effect"
         )
@@ -184,9 +184,9 @@ class PriorDistribution:
 
     def __post_init__(self) -> None:
         probs = tuple(float(p) for p in self.probabilities)
-        if any(p < 0.0 or p > 1.0 for p in probs):
+        if not all(0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"prior entries must lie in [0, 1], got {probs}")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError(f"priors must sum to 1, got sum {sum(probs)!r}")
         object.__setattr__(self, "probabilities", probs)
 

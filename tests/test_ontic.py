@@ -283,3 +283,20 @@ class TestRandomModel:
         m = random_model(3, 16, rng)
         assert np.allclose(m.distributions.sum(axis=1), 1.0, atol=1e-12)
         assert abs(sum(m.priors.probabilities) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: model([[np.nan, 1.0], [0.5, 0.5]], [0.5, 0.5]),
+        lambda: ResponseFunction(np.array([[np.nan, 0.5], [1.0, 0.5]])),
+        lambda: check_mixing_constraint(
+            np.array([np.nan, 1.0]), np.array([0.5, 0.5]),
+            np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+        ),
+    ],
+    ids=["model", "response", "distribution-row"],
+)
+def test_nan_rejected(build):
+    with pytest.raises(ValueError):
+        build()

@@ -1,9 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from mesd.analytic import MirrorEnsemble, TwoStateScenario, helstrom_two, quantum_three
+from mesd import oracle
+from mesd.analytic import (
+    MirrorEnsemble,
+    TwoStateScenario,
+    helstrom_two,
+    quantum_three,
+    threshold_prior,
+)
 from mesd.oracle import (
     MeasurementParams2,
     MeasurementParams3,
@@ -18,6 +26,7 @@ from mesd.qcore import Effect, identity_matrix, make_state, validate_povm
 # 0.5 * (1 + sqrt(1 - 4 * 0.3 * 0.7 * 0.75)), frozen after evaluating it
 HELSTROM_P03_C075 = 0.804138126514911
 TRINE = MirrorEnsemble(math.pi / 3, 1 / 3)
+HALF_PI = math.pi / 2
 
 
 def trine_params() -> MeasurementParams3:
@@ -203,3 +212,69 @@ class TestOptimizeThree:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             optimize_three(TRINE, grid_n=8)
+
+
+@pytest.mark.parametrize("weights,angles", [
+    ((math.nan, 1.0, 1.0), (0.0, 0.0, math.pi / 2)),
+    ((1.0, 1.0, 0.0), (0.2, 0.2 + math.pi / 2, math.nan)),
+    ((1.0, 1.0, 0.0), (math.nan, 0.2 + math.pi / 2, 0.0)),
+])
+def test_params3_rejects_nan(weights, angles):
+    with pytest.raises(ValueError):
+        MeasurementParams3(weights=weights, angles=angles)
+
+
+def test_optimize_two_rejects_oversize_grid_before_allocating(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(oracle.np, "linspace", no_grid)
+    with pytest.raises(ValueError, match="grid_n"):
+        optimize_two(make_state(0.0), make_state(1.0), 0.5, grid_n=2**20 + 1)
+
+
+def reference_three(theta: float, p: float) -> float:
+    """quantum_three's closed form, evaluated independently at 50 digits."""
+    with mpmath.workdps(50):
+        t, q = mpmath.mpf(theta), mpmath.mpf(p)
+        c, s = mpmath.cos(t), mpmath.sin(t)
+        if q >= 1 / (2 + c * (c + s)):
+            return float(q * (1 + mpmath.sin(2 * t)))
+        d = 1 - 2 * q - q * c**2
+        return float((1 - 2 * q) * (q * s**2 + d) / d)
+
+
+def certificate_points() -> list[tuple[float, float]]:
+    """Edges, the threshold prior p*(theta) and its 1e-9 neighbours, p = 1/3."""
+    points = []
+    for theta in (0.0, 1e-6, 0.3, math.pi / 4, 1.2, HALF_PI - 1e-9, HALF_PI):
+        star = threshold_prior(theta)
+        for p in (0.0, 1e-6, 0.1, 1 / 3, star, star * (1 - 1e-9), star * (1 + 1e-9), 0.5):
+            if p <= 0.5 and (theta, p) not in points:
+                points.append((theta, p))
+    return points
+
+
+@pytest.mark.parametrize("theta,p", certificate_points())
+def test_certificate_brackets_the_optimum(theta, p):
+    r = optimize_three(MirrorEnsemble(theta, p))
+    exact = reference_three(theta, p)
+    assert r.success <= exact + 1e-12
+    assert r.dual_bound >= exact - 1e-12
+    if 0.0 < theta < HALF_PI and 0.0 < p < 0.5:
+        assert r.dual_bound - r.success <= 1e-9
+
+
+@pytest.mark.parametrize("theta,p", [(0.0, 0.1), (0.0, 1 / 3), (0.0, 0.5), (0.3, 0.0),
+                                     (HALF_PI, 0.0)])
+def test_singular_points_give_complete_params(theta, p):
+    # every weighted state lies on one ray, so G in the fixed point is singular
+    r = optimize_three(MirrorEnsemble(theta, p))
+    total = sum(e.matrix for e in r.params.to_povm().effects)
+    assert np.allclose(total, np.eye(2), atol=1e-12)
+    assert r.dual_bound == pytest.approx(r.success, abs=1e-12)
+
+
+def test_result_does_not_depend_on_seed_or_grid():
+    ensemble = MirrorEnsemble(1.1, 0.27)
+    assert optimize_three(ensemble, seed=1) == optimize_three(ensemble, grid_n=16, seed=2)

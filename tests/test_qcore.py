@@ -220,3 +220,27 @@ class TestPriorDistribution:
 
 def test_pure_state_direct_construction_normalizes():
     assert PureState(2 * math.pi + 0.25).angle == pytest.approx(0.25, abs=1e-12)
+
+
+def _unchecked_effect(matrix) -> Effect:
+    """An Effect that skipped its own validation, to reach the Born-rule check."""
+    effect = object.__new__(Effect)
+    object.__setattr__(effect, "matrix", np.array(matrix, dtype=complex))
+    return effect
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PriorDistribution((math.nan, 0.5, 0.5)),
+        lambda: Effect(np.array([[math.nan, 0.0], [0.0, 1.0]])),
+        lambda: Effect.scaled_projector(math.nan, make_state(0.3)),
+        lambda: born_probability(
+            make_state(0.3), _unchecked_effect([[math.nan, 0.0], [0.0, 1.0]])
+        ),
+    ],
+    ids=["prior", "effect", "scaled-projector", "born-probability"],
+)
+def test_nan_rejected(build):
+    with pytest.raises(ValueError):
+        build()
