@@ -59,7 +59,8 @@ class MirrorEnsemble:
             raise ValueError(f"prior_p must lie in [0, 1/2], got {self.prior_p!r}")
 
     def states(self) -> tuple[PureState, PureState, PureState]:
-        """(psi1, psi2, psi3) at angles theta, -theta, 0."""
+        """(psi1, psi2, psi3) at angles theta, -theta, 0; psi2 is the exact
+        mirror image of psi1."""
         return (make_state(self.theta), make_state(-self.theta), make_state(0.0))
 
     def priors(self) -> PriorDistribution:
@@ -145,11 +146,6 @@ def quantum_three(ensemble: MirrorEnsemble) -> float:
         value = p * (1.0 + math.sin(2.0 * t))
     else:
         denom = 1.0 - 2.0 * p - p * math.cos(t) ** 2
-        if denom <= 1e-12:
-            raise ValueError(
-                f"degenerate low-prior evaluation: denominator {denom!r} at "
-                f"theta={t!r}, p={p!r}"
-            )
         value = (1.0 - 2.0 * p) * (p * math.sin(t) ** 2 + denom) / denom
     return min(1.0, max(0.0, value))
 

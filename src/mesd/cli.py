@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--sep-deg", type=float, default=None)
     p_o2.add_argument("--prior", type=float, required=True)
     p_o2.add_argument("--grid-n", type=int, default=1024)
-    p_o2.add_argument("--refine-iters", type=int, default=60)
+    p_o2.add_argument("--refine-iters", type=int, default=60,
+                      help="accepted, must be >= 0")
     p_o2.add_argument("--tol", type=float, default=1e-4)
     add_io(p_o2)
     p_o2.set_defaults(func=cmd_oracle_two)

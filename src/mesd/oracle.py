@@ -5,19 +5,21 @@ without the closed forms, with the success functional
 sum_i p_i <psi_i| E_i |psi_i> evaluated through the Born rule.
 
 Two hypotheses: projective measurements fixed by one angle, searched by a
-uniform angle grid and golden-section refinement.  Three hypotheses: all
+uniform angle grid whose best point and neighbours fix the peak of the
+success, a single harmonic in twice the angle.  Three hypotheses: all
 POVMs, searched by the fixed-point iteration of Jezek, Rehacek and Fiurasek
 (PRA 65, 060301(R), 2002), whose complete rank-1 iterates map onto
-`MeasurementParams3`.  Each iterate is paired with the Holevo /
-Yuen-Kennedy-Lax dual, so the verdict is an interval: the success of the
-POVM found and a proven upper bound on the success of every measurement.
+`MeasurementParams3`.  Both oracles pair their measurement with the
+Holevo / Yuen-Kennedy-Lax dual, so the verdict is an interval: the success
+of the measurement found and a proven upper bound on the success of every
+measurement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .qcore import (
 )
 
 TWO_PI = 2.0 * math.pi
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _WEIGHT_TOL = 1e-12
 _MAX_GRID_N = 2**20
@@ -98,10 +99,10 @@ class MeasurementParams3:
 @dataclass(frozen=True)
 class OracleResult:
     """The best measurement found, its Born-rule success, the candidates
-    evaluated (grid angles plus golden-section steps for optimize_two,
-    fixed-point iterates for optimize_three), and dual_bound, an upper bound
-    on the success of every measurement, proven up to float rounding: the
-    optimum lies in [success, dual_bound].  optimize_two reports 1.0."""
+    evaluated (grid angles plus the fitted peak for optimize_two, fixed-point
+    iterates for optimize_three), and dual_bound, an upper bound on the
+    success of every measurement, proven up to float rounding: the optimum
+    lies in [success, dual_bound]."""
 
     success: float
     params: MeasurementParams2 | MeasurementParams3
@@ -138,30 +139,6 @@ def success_two(
     return p * born_probability(s2, e2) + (1.0 - p) * born_probability(s1, e1)
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, iters: int
-) -> tuple[float, float, int]:
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    evals = 2
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        evals += 1
-    if f1 >= f2:
-        return x1, f1, evals
-    return x2, f2, evals
-
-
 def optimize_two(
     s1: PureState,
     s2: PureState,
@@ -169,41 +146,45 @@ def optimize_two(
     grid_n: int = 1024,
     refine_iters: int = 60,
 ) -> OracleResult:
-    """Maximize success_two over the measurement angle.
+    """Maximize success_two over the measurement angle, with a certificate.
 
-    Uniform grid of grid_n angles over one projector period [0, pi),
-    followed by golden-section refinement in the bracket around the best
-    grid point.  The objective is a single harmonic in 2*angle, so the
-    refined value is the global maximum.  grid_n must lie in [64, 2**20],
-    which bounds the memory of the grid (one float per angle).
+    Uniform grid of grid_n angles over one projector period [0, pi).  The
+    objective is a single harmonic in 2*angle, so the best grid value and
+    its two neighbours fix the peak exactly; the peak is kept within one
+    grid step of the best grid angle.  Returns the Born-rule success at the
+    peak and the dual bound of `_certificate` for the projective POVM there.
+    grid_n must lie in [64, 2**20], which bounds the memory of the grid (one
+    float per angle).  refine_iters (>= 0) is validated and accepted only.
     """
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [64, {_MAX_GRID_N}], got {grid_n}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"prior must lie in [0, 1], got {p!r}")
     t1, t2 = s1.angle, s2.angle
-
-    def objective(alpha: float) -> float:
-        return p * math.sin(t2 - alpha) ** 2 + (1.0 - p) * math.cos(t1 - alpha) ** 2
-
     alphas = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     values = p * np.sin(t2 - alphas) ** 2 + (1.0 - p) * np.cos(t1 - alphas) ** 2
     best = int(np.argmax(values))
-    spacing = math.pi / grid_n
-    evals = grid_n
-
-    x, _, used = _golden_max(
-        objective, alphas[best] - spacing, alphas[best] + spacing, refine_iters
+    lo, mid, hi = (float(values[(best + k) % grid_n]) for k in (-1, 0, 1))
+    # values = a + c cos(u) + s sin(u) in u = 2 * (alpha - alphas[best]),
+    # sampled at u = -h, 0, h; the peak lies at u = atan2(s, c).
+    h = TWO_PI / grid_n
+    c = (mid - 0.5 * (lo + hi)) / (1.0 - math.cos(h))
+    s = (hi - lo) / (2.0 * math.sin(h))
+    params = MeasurementParams2(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c))))
+    ket = make_state(params.angle).ket
+    projector = np.outer(ket, ket)
+    _, dual = _certificate(
+        np.array([s1.ket, s2.ket]),
+        np.array([1.0 - p, p]),
+        np.array([projector, np.eye(2) - projector]),
     )
-    evals += used
-    if objective(x) < values[best]:
-        x = float(alphas[best])
-    params = MeasurementParams2(x)
     return OracleResult(
         success=success_two(s1, s2, p, params),
         params=params,
-        evaluations=evals,
-        dual_bound=1.0,
+        evaluations=grid_n + 1,
+        dual_bound=dual,
     )
 
 
@@ -288,10 +269,7 @@ def optimize_three(
     """
     if grid_n < 16 or refine_iters < 0:
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
-    # Both mirror kets from one (cos, sin) pair: exact symmetry keeps their
-    # weights equal, where over-relaxed steps would amplify rounding noise.
-    c, s = math.cos(ensemble.theta), math.sin(ensemble.theta)
-    kets = np.array([[c, s], [c, -s], [1.0, 0.0]])
+    kets = np.array([state.ket for state in ensemble.states()])
     priors = np.array(ensemble.priors().probabilities)
     effects, dual, evaluations = _fixed_point(kets, priors, refine_iters)
     tops = np.linalg.eigh(effects)[1][:, :, -1]

@@ -34,22 +34,22 @@ class PureState:
     """A qubit pure state cos(angle)|0> + sin(angle)|1>.
 
     The angle is normalized into [0, 2*pi) at construction so states compare
-    by a unique representative.
+    by a unique representative.  The amplitudes come from the angle as
+    given, before that rounding, so the states at -x and x are exact mirror
+    images in floats.
     """
 
     angle: float
+    amplitudes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.angle):
             raise ValueError(f"state angle must be finite, got {self.angle!r}")
+        object.__setattr__(self, "amplitudes", (math.cos(self.angle), math.sin(self.angle)))
         normalized = self.angle % TWO_PI
         if normalized >= TWO_PI:  # tiny negatives can round the modulo up to 2*pi
             normalized = 0.0
         object.__setattr__(self, "angle", normalized)
-
-    @property
-    def amplitudes(self) -> tuple[float, float]:
-        return (math.cos(self.angle), math.sin(self.angle))
 
     @property
     def ket(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +18,7 @@ from mesd.analytic import (
     threshold_prior,
 )
 from mesd.qcore import confusability
+from test_oracle import reference_three
 
 # Expected optima frozen from the brute-force measurement search (see
 # test_oracle / test_acceptance for the grid-level agreement checks).
@@ -29,6 +31,28 @@ Q3_PI_THIRD_P01 = 0.8774193548387097
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 THETAS = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
 PRIORS3 = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
+# Two units in the last place of 1: how far a double-precision evaluation
+# may sit from the 50-digit value of the same formula.
+REFERENCE_TOL = 2 * 2.0**-52
+
+
+def reference_nc_three(theta: float, p: float) -> float:
+    """nc_three_bound's closed form, evaluated independently at 50 digits."""
+    with mpmath.workdps(50):
+        t, q = mpmath.mpf(theta), mpmath.mpf(p)
+        c12, c13 = mpmath.cos(2 * t) ** 2, mpmath.cos(t) ** 2
+        if q <= mpmath.mpf(1) / 3:
+            return float(1 - q * c12 - q * c13)
+        return float(1 - q * c12 - (1 - 2 * q) * c13)
+
+
+def float_neighbourhood(centre: float, steps: int) -> list[float]:
+    """centre and the `steps` adjacent doubles on each side of it."""
+    points, lo, hi = [centre], centre, centre
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        points += [lo, hi]
+    return points
 
 
 class TestHelstromTwo:
@@ -142,18 +166,16 @@ class TestQuantumThree:
             assert abs(high - low) < 1e-6
             assert quantum_three(MirrorEnsemble(t, p)) == pytest.approx(high, abs=1e-12)
 
-    def test_degenerate_denominator_raises(self):
+    def test_degenerate_denominator_value(self):
         # theta = 0 collapses the triple; just below p = 1/3 the low-prior
-        # denominator 1 - 3p crosses the guard
-        with pytest.raises(ValueError, match="degenerate"):
-            quantum_three(MirrorEnsemble(0.0, 1 / 3 - 1e-13))
+        # denominator 1 - 3p is tiny but positive
+        assert quantum_three(MirrorEnsemble(0.0, 1 / 3 - 1e-13)) == pytest.approx(
+            reference_three(0.0, 1 / 3 - 1e-13), abs=REFERENCE_TOL
+        )
 
     @given(THETAS, PRIORS3)
     def test_in_unit_interval(self, theta, p):
-        try:
-            value = quantum_three(MirrorEnsemble(theta, p))
-        except ValueError:
-            return  # degenerate guard, allowed
+        value = quantum_three(MirrorEnsemble(theta, p))
         assert 0.0 <= value <= 1.0
 
 
@@ -196,6 +218,20 @@ class TestNcThreeBound:
             s1, s2, s3 = e.states()
             assert e.pair_confusability == pytest.approx(confusability(s1, s2), abs=1e-12)
             assert e.center_confusability == pytest.approx(confusability(s1, s3), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-8, 1e-3, 0.3, math.pi / 4, 1.2,
+                                   math.pi / 2 - 1e-9, math.pi / 2])
+def test_piecewise_forms_match_reference_at_their_breaks(theta):
+    # 100 doubles on each side of the quantum break p*(theta) and of the
+    # noncontextual break p = 1/3, within the domain p <= 1/2
+    for centre in (threshold_prior(theta), 1 / 3):
+        for p in (p for p in float_neighbourhood(centre, 100) if p <= 0.5):
+            ensemble = MirrorEnsemble(theta, p)
+            assert quantum_three(ensemble) == pytest.approx(
+                reference_three(theta, p), abs=REFERENCE_TOL)
+            assert nc_three_bound(ensemble) == pytest.approx(
+                reference_nc_three(theta, p), abs=REFERENCE_TOL)
 
 
 class TestAdvantageTwo:
@@ -258,6 +294,13 @@ class TestValidation:
     def test_bound_pair_gap_consistency(self):
         with pytest.raises(ValueError):
             BoundPair(quantum=0.9, noncontextual=0.8, gap=0.2)
+
+    @pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2, math.pi / 2])
+    def test_mirror_states_are_exact_mirrors(self, theta):
+        c, s = math.cos(theta), math.sin(theta)
+        first, second, _ = MirrorEnsemble(theta, 0.3).states()
+        assert tuple(first.ket) == (c, s)
+        assert tuple(second.ket) == (c, -s)
 
     def test_ensemble_priors(self):
         priors = MirrorEnsemble(0.8, 0.3).priors()

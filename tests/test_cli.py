@@ -290,6 +290,11 @@ class TestCmdOracle:
         assert main(["oracle-two", "--sep-deg", "90", "--prior", "1.5"]) == 2
         capsys.readouterr()
 
+    def test_oracle_two_negative_refine_iters_exits_2(self, capsys):
+        assert main(["oracle-two", "--sep-deg", "30", "--prior", "0.3",
+                     "--refine-iters", "-1"]) == 2
+        assert "refine_iters" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("command,angle", [
         ("oracle-two", ["--sep-deg", "30"]),

@@ -233,6 +233,30 @@ def test_optimize_two_rejects_oversize_grid_before_allocating(monkeypatch):
         optimize_two(make_state(0.0), make_state(1.0), 0.5, grid_n=2**20 + 1)
 
 
+def reference_two(sep: float, p: float) -> float:
+    """The Helstrom value for states sep apart, evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        c, q = mpmath.cos(mpmath.mpf(sep)), mpmath.mpf(p)
+        return float((1 + mpmath.sqrt(1 - 4 * q * (1 - q) * c**2)) / 2)
+
+
+@pytest.mark.parametrize("sep", [0.0, 1e-12, 1e-6, 0.3, math.pi / 4, HALF_PI, 3.0])
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 0.5 + 1e-9, 0.7, 1.0])
+def test_two_state_certificate_brackets_the_optimum(sep, p):
+    r = optimize_two(make_state(0.0), make_state(sep), p)
+    exact = reference_two(sep, p)
+    assert r.success <= exact + 1e-12
+    assert r.dual_bound >= exact - 1e-12
+    assert r.dual_bound - r.success <= 1e-12
+
+
+def test_two_state_peak_stays_in_its_grid_bracket():
+    # neighbouring grid values agree to rounding, so only the bracket keeps
+    # the fitted peak near the best grid angle
+    r = optimize_two(make_state(0.0), make_state(1e-6), 0.5, grid_n=2**20)
+    assert r.success == pytest.approx(reference_two(1e-6, 0.5), abs=1e-15)
+
+
 def reference_three(theta: float, p: float) -> float:
     """quantum_three's closed form, evaluated independently at 50 digits."""
     with mpmath.workdps(50):
