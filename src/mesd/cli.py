@@ -11,20 +11,26 @@ Commands
 Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
 failed: oracle difference above `--tol`, or an ontic-check model failing a
 bound or the identity.  Output is deterministic: identical configuration
-gives byte-identical files.  `map` computes and writes one theta-row at a
-time, so its memory does not grow with the grid.  The `MESD_THREADS`
-environment variable is still validated (a positive integer, else exit 2)
-but selects nothing.
+gives byte-identical files.  `map` writes chunks of at most 256 cells, so
+its memory depends on neither axis of the grid.  `MESD_THREADS` is still
+validated (a positive integer, else exit 2) but selects nothing.
+
+Angles take radians (`--theta`, `--sep`) or degrees (`--theta-deg`,
+`--sep-deg`); `ontic-check --seed` must be >= 0.  Bad input exits 2 with
+the library's `error:` line, e.g. `oracle-two` prints
+`error: state angle must be finite, got nan` or
+`error: prior_p must lie in [0, 1], got 1.5`.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
+_MAP_CHUNK = 256  # cells per piece of the map file; bounds its memory on any grid
 
 
 def _fmt(x: float) -> str:
@@ -107,14 +114,6 @@ def _render_record(record: dict, fmt: str) -> str:
     return json.dumps(_json_obj(record), indent=2) + "\n"
 
 
-def _resolve_angle(args: argparse.Namespace, rad_flag: str, deg_flag: str) -> float | None:
-    rad = getattr(args, rad_flag.strip("-").replace("-", "_"))
-    deg = getattr(args, deg_flag.strip("-").replace("-", "_"))
-    if rad is None and deg is None:
-        return None
-    return rad if rad is not None else math.radians(deg)
-
-
 def cmd_two(args: argparse.Namespace) -> int:
     if not 0.0 <= args.prior <= 1.0:
         return _usage_error(f"--prior must lie in [0, 1], got {args.prior}")
@@ -133,16 +132,13 @@ def cmd_two(args: argparse.Namespace) -> int:
 
 
 def cmd_three(args: argparse.Namespace) -> int:
-    theta = _resolve_angle(args, "--theta", "--theta-deg")
-    if theta is None:
-        return _usage_error("one of --theta or --theta-deg is required")
     try:
-        ensemble = MirrorEnsemble(theta=theta, prior_p=args.prior)
+        ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
     except ValueError as exc:
         return _usage_error(str(exc))
     pair = analytic.advantage_three(ensemble)
     record = {
-        "threshold_prior": analytic.threshold_prior(theta),
+        "threshold_prior": analytic.threshold_prior(args.theta),
         "branch": analytic.quantum_three_branch(ensemble),
         "s_quantum": pair.quantum,
         "s_nc_bound": pair.noncontextual,
@@ -152,10 +148,27 @@ def cmd_three(args: argparse.Namespace) -> int:
     return _emit(_render_record(record, args.format), args.out)
 
 
+def _map_cells(theta_steps: int, prior_steps: int) -> Iterator[dict]:
+    """The map's cell records, theta-major, computed one at a time."""
+    for i in range(theta_steps):
+        theta = (math.pi / 2.0) * i / (theta_steps - 1)
+        for j in range(prior_steps):
+            prior = 0.5 * j / (prior_steps - 1)
+            pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
+            yield {
+                "theta": theta,
+                "prior": prior,
+                "s_quantum": pair.quantum,
+                "s_nc_bound": pair.noncontextual,
+                "gap": pair.gap,
+                "advantage": pair.advantage,
+            }
+
+
 def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
-    """The map file in pieces: one piece per theta-row of cells, plus the
-    CSV header or the JSON text around the cells list."""
-    priors = [0.5 * j / (prior_steps - 1) for j in range(prior_steps)]
+    """The map file in pieces of `_MAP_CHUNK` cells, plus the CSV header or
+    the JSON text around the cells list."""
+    cells = _map_cells(theta_steps, prior_steps)
     if fmt == "json":
         config = {
             "command": "map",
@@ -165,28 +178,17 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
         }
         head, tail = json.dumps({"config": config, "cells": []}, indent=2).split("[]")
         yield head + "["
-    for i in range(theta_steps):
-        theta = (math.pi / 2.0) * i / (theta_steps - 1)
-        records = []
-        for prior in priors:
-            pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
-            records.append({
-                "theta": theta,
-                "prior": prior,
-                "s_quantum": pair.quantum,
-                "s_nc_bound": pair.noncontextual,
-                "gap": pair.gap,
-                "advantage": pair.advantage,
-            })
+    chunks = iter(lambda: list(itertools.islice(cells, _MAP_CHUNK)), [])
+    for k, chunk in enumerate(chunks):
         if fmt == "csv":
-            if i == 0:
-                yield ",".join(records[0]) + "\n"
-            yield "".join(_csv_row(r) + "\n" for r in records)
+            if k == 0:
+                yield ",".join(chunk[0]) + "\n"
+            yield "".join(_csv_row(r) + "\n" for r in chunk)
         else:
             # The cells sit one level deeper in the payload than in a bare
-            # list: drop the row list's brackets and indent every line once more.
-            cells = json.dumps([_json_obj(r) for r in records], indent=2)[1:-2]
-            yield ("," if i else "") + cells.replace("\n", "\n  ")
+            # list: drop the chunk list's brackets and indent every line once more.
+            text = json.dumps([_json_obj(r) for r in chunk], indent=2)[1:-2]
+            yield ("," if k else "") + text.replace("\n", "\n  ")
     if fmt == "json":
         yield "\n  ]" + tail + "\n"
 
@@ -208,54 +210,34 @@ def cmd_map(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_two(args: argparse.Namespace) -> int:
-    sep = _resolve_angle(args, "--sep", "--sep-deg")
-    if sep is None:
-        return _usage_error("one of --sep or --sep-deg is required")
-    if not math.isfinite(sep):
-        return _usage_error(f"--sep/--sep-deg must be finite, got {sep}")
-    if not 0.0 <= args.prior <= 1.0:
-        return _usage_error(f"--prior must lie in [0, 1], got {args.prior}")
-    if not 0.0 < args.tol < math.inf:
-        return _usage_error(f"--tol must be finite and positive, got {args.tol}")
-    s1 = make_state(0.0)
-    s2 = make_state(sep)
-    scenario = TwoStateScenario(
-        prior_p=args.prior, confusability_c=math.cos(sep) ** 2
-    )
-    expected = analytic.helstrom_two(scenario)
     try:
-        result = oracle.optimize_two(
-            s1, s2, args.prior, grid_n=args.grid_n, refine_iters=args.refine_iters
-        )
+        s2 = make_state(args.sep)
+        scenario = TwoStateScenario(prior_p=args.prior, confusability_c=math.cos(args.sep) ** 2)
     except ValueError as exc:
         return _usage_error(str(exc))
-    return _report_oracle(expected, result, args)
+    return _run_oracle(analytic.helstrom_two(scenario), args, lambda: oracle.optimize_two(
+        make_state(0.0), s2, args.prior, grid_n=args.grid_n, refine_iters=args.refine_iters
+    ))
 
 
 def cmd_oracle_three(args: argparse.Namespace) -> int:
-    theta = _resolve_angle(args, "--theta", "--theta-deg")
-    if theta is None:
-        return _usage_error("one of --theta or --theta-deg is required")
     try:
-        ensemble = MirrorEnsemble(theta=theta, prior_p=args.prior)
+        ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
     except ValueError as exc:
         return _usage_error(str(exc))
+    return _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(
+        ensemble, grid_n=args.grid_n, refine_iters=args.refine_iters, seed=args.seed
+    ))
+
+
+def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult]) -> int:
+    """Check --tol, run the solver and report its difference from `expected`."""
     if not 0.0 < args.tol < math.inf:
         return _usage_error(f"--tol must be finite and positive, got {args.tol}")
-    expected = analytic.quantum_three(ensemble)
     try:
-        result = oracle.optimize_three(
-            ensemble,
-            grid_n=args.grid_n,
-            refine_iters=args.refine_iters,
-            seed=args.seed,
-        )
+        result = solve()
     except ValueError as exc:
         return _usage_error(str(exc))
-    return _report_oracle(expected, result, args)
-
-
-def _report_oracle(expected: float, result: oracle.OracleResult, args) -> int:
     difference = abs(result.success - expected)
     record = {
         "analytic": expected,
@@ -278,6 +260,8 @@ def _report_oracle(expected: float, result: oracle.OracleResult, args) -> int:
 def cmd_ontic_check(args: argparse.Namespace) -> int:
     if args.num_models < 1:
         return _usage_error(f"--num-models must be >= 1, got {args.num_models}")
+    if args.seed < 0:
+        return _usage_error(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     two_pass = three_pass = identity_pass = 0
     detail: list[str] = []
@@ -309,6 +293,19 @@ def cmd_ontic_check(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_TOLERANCE
 
 
+def degrees(text: str) -> float:
+    """argparse type of the `--*-deg` flags: degrees in, radians out."""
+    return math.radians(float(text))
+
+
+def add_angle(parser: argparse.ArgumentParser, name: str, what: str) -> None:
+    """Require `--<name>` (radians) or `--<name>-deg`; both set `args.<name>` in radians."""
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument(f"--{name}", type=float, help=f"{what}, radians")
+    group.add_argument(f"--{name}-deg", type=degrees, dest=name, metavar="DEG",
+                       help=f"{what}, degrees")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mesd",
@@ -334,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_two.set_defaults(func=cmd_two)
 
     p_three = sub.add_parser("three", help="three-state bounds for (theta, prior)")
-    angle = p_three.add_mutually_exclusive_group(required=True)
-    angle.add_argument("--theta", type=float, default=None, help="radians in [0, pi/2]")
-    angle.add_argument("--theta-deg", type=float, default=None, help="degrees in [0, 90]")
+    add_angle(p_three, "theta", "mirror angle")
     p_three.add_argument("--prior", type=float, required=True)
     add_io(p_three)
     p_three.set_defaults(func=cmd_three)
@@ -349,10 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.set_defaults(func=cmd_map)
 
     p_o2 = sub.add_parser("oracle-two", help="brute-force check of the two-state optimum")
-    sep = p_o2.add_mutually_exclusive_group(required=True)
-    sep.add_argument("--sep", type=float, default=None,
-                     help="angle between the states, radians")
-    sep.add_argument("--sep-deg", type=float, default=None)
+    add_angle(p_o2, "sep", "angle between the states")
     p_o2.add_argument("--prior", type=float, required=True)
     p_o2.add_argument("--grid-n", type=int, default=1024)
     p_o2.add_argument("--refine-iters", type=int, default=60,
@@ -362,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_o2.set_defaults(func=cmd_oracle_two)
 
     p_o3 = sub.add_parser("oracle-three", help="certified check of the three-state optimum")
-    angle3 = p_o3.add_mutually_exclusive_group(required=True)
-    angle3.add_argument("--theta", type=float, default=None)
-    angle3.add_argument("--theta-deg", type=float, default=None)
+    add_angle(p_o3, "theta", "mirror angle")
     p_o3.add_argument("--prior", type=float, required=True)
     p_o3.add_argument("--grid-n", type=int, default=64, help="accepted, must be >= 16; no grid")
     p_o3.add_argument("--refine-iters", type=int, default=200, help="iteration budget")

@@ -1,16 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mesd import ontic
 from mesd.cli import main
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
+ANGLE_FLAGS = [("three", "--theta"), ("oracle-three", "--theta"), ("oracle-two", "--sep")]
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -227,7 +232,9 @@ class TestCmdMap:
 
 
     # Reference SHA-256 of the map bytes.  4x4 puts p = 1/3 = p*(0) on the
-    # grid; 7x4 puts p = 1/3, theta = pi/6 and theta = pi/3 on it.
+    # grid; 7x4 puts p = 1/3, theta = pi/6 and theta = pi/3 on it.  The map
+    # is written 256 cells at a time: 23x29 cuts theta-rows at chunk edges,
+    # 2x256 ends exactly on one.
     @pytest.mark.parametrize("fmt,theta_steps,prior_steps,digest", [
         ("csv", 2, 2, "2a0b8e2d5c84785bf1ef46ff3c353b7830d20b09ee5963e9fdfb20f511865c95"),
         ("csv", 4, 4, "7ee3d055017e243cda2c34a00b4862c562533024102dc5fffac92f0bacb1e19f"),
@@ -237,6 +244,10 @@ class TestCmdMap:
         ("json", 4, 4, "98a352793f70da5f868d7914ec0ca42aac90aa21f8b4353a8ceb2b473db7fbea"),
         ("json", 7, 4, "b753cf99c49d1f91818194b897b0e298550253bcb86a8534502c2bb1cd5fb873"),
         ("json", 11, 11, "e7be4faa4f11a9f2b99ca510fa01197ad82faf7a0ab8f5fb36b83ca265787645"),
+        ("csv", 23, 29, "e96833f27cf16551228752702ad55c51e89cf5dc5ed026621ee21a429cf1e2a2"),
+        ("json", 23, 29, "0ed3cba419e7ce5365830cf7efcd0b2172ccb0e9595c2f573b75978a61843cb9"),
+        ("csv", 2, 256, "40209412e9321c1226fa492c09c0a0bb128e43c51e7a08f827e75a2f38912fff"),
+        ("json", 2, 256, "5c85c43113e6212b8634ace137134d3f940e0d98ef778894b29f630f6d558cd3"),
     ])
     def test_bytes_match_reference_digest(self, tmp_path, capsys, fmt,
                                           theta_steps, prior_steps, digest):
@@ -254,6 +265,21 @@ class TestCmdMap:
                      "--out", str(out)]) == 2
         assert "MESD_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_prior_steps(self, tmp_path, fmt):
+        # 8000 cells in two theta-rows; a whole row held at once peaks
+        # at several MB.
+        out = tmp_path / f"grid.{fmt}"
+        tracemalloc.start()
+        try:
+            code = main(["map", "--theta-steps", "2", "--prior-steps", "4000",
+                         "--out", str(out), "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5e6
 
 
 class TestCmdOracle:
@@ -328,6 +354,37 @@ class TestNonFiniteInputs:
         assert captured.out == ""
 
 
+class TestAngleFlags:
+    @pytest.mark.parametrize("degrees", ["0", "30", "45", "60", "90"])
+    @pytest.mark.parametrize("command,flag", ANGLE_FLAGS)
+    def test_degrees_match_radians(self, capsys, command, flag, degrees):
+        radians = repr(math.radians(float(degrees)))
+        code_deg, out_deg = run(capsys, command, f"{flag}-deg", degrees, "--prior", "0.3")
+        code_rad, out_rad = run(capsys, command, flag, radians, "--prior", "0.3")
+        assert code_deg == code_rad == 0
+        assert out_deg == out_rad
+
+    @pytest.mark.parametrize("command,flag", ANGLE_FLAGS)
+    @pytest.mark.parametrize("given_flags", ["both", "neither"])
+    def test_exactly_one_angle_flag(self, capsys, command, flag, given_flags):
+        angle = [flag, "0.5", f"{flag}-deg", "30"] if given_flags == "both" else []
+        assert main([command, *angle, "--prior", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    @given(st.floats(min_value=0.0, max_value=math.pi / 2),
+           st.floats(min_value=0.0, max_value=0.5))
+    def test_three_accepts_the_closed_domain(self, theta, prior):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["three", "--theta", repr(theta), "--prior", repr(prior)])
+        assert code == 0
+        record = json.loads(stdout.getvalue())
+        assert 0.0 <= record["s_nc_bound"] <= 1.0
+        assert 0.0 <= record["s_quantum"] <= 1.0
+
+
 class TestCmdOnticCheck:
     def test_small_batch_passes(self, capsys):
         code, out = run(capsys, "ontic-check", "--num-models", "100", "--seed", "7")
@@ -345,6 +402,13 @@ class TestCmdOnticCheck:
     def test_zero_models_exits_2(self, capsys):
         assert main(["ontic-check", "--num-models", "0"]) == 2
         capsys.readouterr()
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["ontic-check", "--num-models", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "--seed" in captured.err
+        assert captured.out == ""
 
     def test_failing_model_exits_4(self, capsys, monkeypatch):
         def failing(model):
