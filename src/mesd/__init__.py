@@ -27,14 +27,10 @@ from .ontic import (
     random_model,
 )
 from .oracle import (
-    MeasurementParams2,
-    MeasurementParams3,
     OracleResult,
     discrimination_success,
     optimize_three,
     optimize_two,
-    success_three,
-    success_two,
 )
 from .qcore import (
     Effect,
@@ -52,8 +48,6 @@ __all__ = [
     "BoundPair",
     "Effect",
     "FiniteOnticModel",
-    "MeasurementParams2",
-    "MeasurementParams3",
     "MirrorEnsemble",
     "OracleResult",
     "Povm",
@@ -82,8 +76,6 @@ __all__ = [
     "quantum_three",
     "quantum_three_branch",
     "random_model",
-    "success_three",
-    "success_two",
     "threshold_prior",
     "validate_povm",
 ]

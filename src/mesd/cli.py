@@ -12,8 +12,7 @@ Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
 failed: oracle difference above `--tol`, or an ontic-check model failing a
 bound or the identity.  Output is deterministic: identical configuration
 gives byte-identical files.  `map` writes chunks of at most 256 cells, so
-its memory depends on neither axis of the grid.  `MESD_THREADS` is still
-validated (a positive integer, else exit 2) but selects nothing.
+its memory depends on neither axis of the grid.
 
 Angles take radians (`--theta`, `--sep`) or degrees (`--theta-deg`,
 `--sep-deg`); `ontic-check --seed` must be >= 0.  Bad input exits 2 with
@@ -28,7 +27,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from typing import Callable, Iterator, Sequence
 
@@ -55,20 +53,6 @@ def _fmt(x: float) -> str:
 def _fmt_num(x: float) -> float:
     """Round-trip through the 9-significant-digit rendering for JSON."""
     return float(_fmt(x))
-
-
-def _check_threads() -> int:
-    """Validate MESD_THREADS, kept for compatibility; it selects nothing."""
-    raw = os.environ.get("MESD_THREADS")
-    if raw is None:
-        return EXIT_OK
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        return _usage_error(f"MESD_THREADS must be a positive integer, got {raw!r}")
-    return EXIT_OK
 
 
 def _usage_error(message: str) -> int:
@@ -198,9 +182,6 @@ def cmd_map(args: argparse.Namespace) -> int:
         return _usage_error(f"--theta-steps must be >= 2, got {args.theta_steps}")
     if args.prior_steps < 2:
         return _usage_error(f"--prior-steps must be >= 2, got {args.prior_steps}")
-    status = _check_threads()
-    if status != EXIT_OK:
-        return status
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_map_chunks(args.theta_steps, args.prior_steps, args.format))

@@ -63,6 +63,13 @@ class FiniteOnticModel:
         mu.flags.writeable = False
         object.__setattr__(self, "distributions", mu)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FiniteOnticModel):
+            return NotImplemented
+        return self.priors == other.priors and np.array_equal(
+            self.distributions, other.distributions
+        )
+
     @property
     def num_preparations(self) -> int:
         return self.distributions.shape[0]
@@ -94,6 +101,11 @@ class ResponseFunction:
             raise ValueError("outcome probabilities must sum to 1 for every ontic state")
         xi.flags.writeable = False
         object.__setattr__(self, "values", xi)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResponseFunction):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
     @property
     def num_outcomes(self) -> int:

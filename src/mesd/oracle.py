@@ -8,11 +8,11 @@ Two hypotheses: projective measurements fixed by one angle, searched by a
 uniform angle grid whose best point and neighbours fix the peak of the
 success, a single harmonic in twice the angle.  Three hypotheses: all
 POVMs, searched by the fixed-point iteration of Jezek, Rehacek and Fiurasek
-(PRA 65, 060301(R), 2002), whose complete rank-1 iterates map onto
-`MeasurementParams3`.  Both oracles pair their measurement with the
+(PRA 65, 060301(R), 2002).  Both oracles pair their measurement with the
 Holevo / Yuen-Kennedy-Lax dual, so the verdict is an interval: the success
 of the measurement found and a proven upper bound on the success of every
-measurement.
+measurement.  The effects that the dual certifies are the `Povm` the
+verdict reports and scores.
 """
 
 from __future__ import annotations
@@ -25,19 +25,16 @@ import numpy as np
 
 from .analytic import MirrorEnsemble
 from .qcore import (
-    Effect,
     Povm,
     PriorDistribution,
     PureState,
     born_probability,
-    identity_matrix,
     make_state,
     validate_povm,
 )
 
 TWO_PI = 2.0 * math.pi
 
-_WEIGHT_TOL = 1e-12
 _MAX_GRID_N = 2**20
 # The three-state iteration stops once dual bound - success is this small.
 _GAP_TOL = 1e-13
@@ -45,67 +42,15 @@ _TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
-class MeasurementParams2:
-    """Orientation of a projective two-outcome measurement in the plane."""
-
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"measurement angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "angle", self.angle % TWO_PI)
-
-
-@dataclass(frozen=True)
-class MeasurementParams3:
-    """In-plane three-outcome POVM a_i |phi(alpha_i)><phi(alpha_i)|.
-
-    weights are the effect traces (a_1, a_2, a_3) and angles the projector
-    directions.  Completeness requires sum a_i = 2 and the weighted
-    double-angle directions sum a_i (cos 2a_i, sin 2a_i) to cancel; both are
-    checked to 1e-9.  Positivity is automatic from a_i >= 0.
-    """
-
-    weights: tuple[float, float, float]
-    angles: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.weights)
-        a = tuple(float(x) for x in self.angles)
-        if len(w) != 3 or len(a) != 3:
-            raise ValueError("three weights and three angles required")
-        if not all(x >= -_WEIGHT_TOL for x in w):
-            raise ValueError(f"weights must be nonnegative, got {w}")
-        w = tuple(max(0.0, x) for x in w)
-        if not abs(sum(w) - 2.0) <= 1e-9:
-            raise ValueError(f"weights must sum to 2, got sum {sum(w)!r}")
-        bx = sum(wi * math.cos(2.0 * ai) for wi, ai in zip(w, a))
-        by = sum(wi * math.sin(2.0 * ai) for wi, ai in zip(w, a))
-        if not (abs(bx) <= 1e-9 and abs(by) <= 1e-9):
-            raise ValueError(
-                f"weighted directions must cancel for completeness, got ({bx!r}, {by!r})"
-            )
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "angles", a)
-
-    def to_povm(self) -> Povm:
-        effects = [
-            Effect.scaled_projector(wi, make_state(ai))
-            for wi, ai in zip(self.weights, self.angles)
-        ]
-        return validate_povm(effects)
-
-
-@dataclass(frozen=True)
 class OracleResult:
-    """The best measurement found, its Born-rule success, the candidates
-    evaluated (grid angles plus the fitted peak for optimize_two, fixed-point
-    iterates for optimize_three), and dual_bound, an upper bound on the
-    success of every measurement, proven up to float rounding: the optimum
-    lies in [success, dual_bound]."""
+    """The best measurement found as a POVM (effect i guesses state i), its
+    Born-rule success, the candidates evaluated (grid angles plus the fitted
+    peak for optimize_two, fixed-point iterates for optimize_three), and
+    dual_bound, an upper bound on the success of every measurement, proven
+    up to float rounding: the optimum lies in [success, dual_bound]."""
 
     success: float
-    params: MeasurementParams2 | MeasurementParams3
+    povm: Povm
     evaluations: int
     dual_bound: float
 
@@ -127,18 +72,6 @@ def discrimination_success(
     )
 
 
-def success_two(
-    s1: PureState, s2: PureState, p: float, m: MeasurementParams2
-) -> float:
-    """Two-state success p <psi2|E2|psi2> + (1-p) <psi1|E1|psi1> where E1 is
-    the projector at m.angle (outcome 1 guesses psi1) and E2 = I - E1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"prior must lie in [0, 1], got {p!r}")
-    e1 = Effect.projector(make_state(m.angle))
-    e2 = Effect(identity_matrix() - e1.matrix)
-    return p * born_probability(s2, e2) + (1.0 - p) * born_probability(s1, e1)
-
-
 def optimize_two(
     s1: PureState,
     s2: PureState,
@@ -146,13 +79,14 @@ def optimize_two(
     grid_n: int = 1024,
     refine_iters: int = 60,
 ) -> OracleResult:
-    """Maximize success_two over the measurement angle, with a certificate.
+    """Maximize two-state success over projective measurements, with a certificate.
 
     Uniform grid of grid_n angles over one projector period [0, pi).  The
     objective is a single harmonic in 2*angle, so the best grid value and
     its two neighbours fix the peak exactly; the peak is kept within one
-    grid step of the best grid angle.  Returns the Born-rule success at the
-    peak and the dual bound of `_certificate` for the projective POVM there.
+    grid step of the best grid angle.  Returns the projective POVM at the
+    peak (outcome 1 guesses s1), its Born-rule success and its dual bound
+    from `_certificate`.
     grid_n must lie in [64, 2**20], which bounds the memory of the grid (one
     float per angle).  refine_iters (>= 0) is validated and accepted only.
     """
@@ -172,20 +106,23 @@ def optimize_two(
     h = TWO_PI / grid_n
     c = (mid - 0.5 * (lo + hi)) / (1.0 - math.cos(h))
     s = (hi - lo) / (2.0 * math.sin(h))
-    params = MeasurementParams2(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c))))
-    ket = make_state(params.angle).ket
+    ket = make_state(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c)))).ket
     projector = np.outer(ket, ket)
-    _, dual = _certificate(
-        np.array([s1.ket, s2.ket]),
-        np.array([1.0 - p, p]),
-        np.array([projector, np.eye(2) - projector]),
-    )
-    return OracleResult(
-        success=success_two(s1, s2, p, params),
-        params=params,
-        evaluations=grid_n + 1,
-        dual_bound=dual,
-    )
+    effects = np.array([projector, np.eye(2) - projector])
+    _, dual = _certificate(np.array([s1.ket, s2.ket]), np.array([1.0 - p, p]), effects)
+    return _verdict((s1, s2), PriorDistribution((1.0 - p, p)), effects, grid_n + 1, dual)
+
+
+def _verdict(
+    states: Sequence[PureState],
+    priors: PriorDistribution,
+    effects: np.ndarray,
+    evaluations: int,
+    dual: float,
+) -> OracleResult:
+    """The certified `effects` as a validated POVM, scored through the Born rule."""
+    povm = validate_povm(effects)
+    return OracleResult(discrimination_success(states, priors, povm), povm, evaluations, dual)
 
 
 def _certificate(
@@ -214,23 +151,28 @@ def _fixed_point(
     cancels) and a step multiplies a_i by (p_i <psi_i|G^-1|psi_i>)^2.  Plain
     steps crawl where an optimal effect vanishes, at and above the threshold
     prior, so that factor is raised to omega, which doubles while the
-    success does not fall and returns to 1 otherwise."""
+    success does not fall and returns to 1 otherwise.  Steps that end with
+    a gap above _GAP_TOL give way to the one-ray measurement below if its
+    own gap is within _GAP_TOL."""
     weights, ratio = (priors / priors.max()) ** 2, np.ones(len(priors))
+    lam, vecs = np.linalg.eigh(np.einsum("i,ia,ib->ab", weights, kets, kets))
+    # The projector on the top eigenvector r for the outcome with the largest
+    # p_i <psi_i|r>^2, plus the complement: optimal when every weighted state
+    # lies on the ray r (G singular), and often certified when the states
+    # almost do, where G^-1 is too inexact for the iteration to converge.
+    k = int(np.argmax(priors * (kets @ vecs[:, -1]) ** 2))
+    ray = np.zeros((len(kets), 2, 2))
+    ray[k] = np.outer(vecs[:, -1], vecs[:, -1])
+    ray[(k + 1) % len(kets)] = np.eye(2) - ray[k]
+    if not lam[0] > _TINY * lam[1]:
+        return ray, _certificate(kets, priors, ray)[1], 1
     omega, value, primal, dual = 1.0, -np.inf, -np.inf, np.inf
     for evaluations in range(1, iters + 2):
         trial = weights * (ratio / ratio.max()) ** omega
         lam, vecs = np.linalg.eigh(np.einsum("i,ia,ib->ab", trial, kets, kets))
         if not lam[0] > _TINY * lam[1]:  # G singular, or G^-1 inexact in floats
-            if evaluations > 1:
-                omega = 1.0
-                continue
-            # Every weighted state lies on one ray r; the projector on r for the
-            # outcome with the largest p_i <psi_i|r>^2 plus the complement is optimal.
-            k = int(np.argmax(priors * (kets @ vecs[:, -1]) ** 2))
-            best = np.zeros((len(kets), 2, 2))
-            best[k] = np.outer(vecs[:, -1], vecs[:, -1])
-            best[(k + 1) % len(kets)] = np.eye(2) - best[k]
-            return best, _certificate(kets, priors, best)[1], 1
+            omega = 1.0
+            continue
         rows = kets @ ((vecs / np.sqrt(lam)) @ vecs.T)
         effects = trial[:, None, None] * np.einsum("ia,ib->iab", rows, rows)
         trial_value, bound = _certificate(kets, priors, effects)
@@ -243,14 +185,11 @@ def _fixed_point(
         else:
             omega = 1.0
         if dual - primal <= _GAP_TOL:
-            break
+            return best, dual, evaluations
+    ray_value, ray_bound = _certificate(kets, priors, ray)
+    if ray_bound - ray_value <= _GAP_TOL:
+        return ray, ray_bound, evaluations + 1
     return best, dual, evaluations
-
-
-def success_three(ensemble: MirrorEnsemble, m: MeasurementParams3) -> float:
-    """Three-state success for an in-plane weighted-projector POVM, computed
-    through the Born rule (effect i guesses state i)."""
-    return discrimination_success(ensemble.states(), ensemble.priors(), m.to_povm())
 
 
 def optimize_three(
@@ -262,24 +201,14 @@ def optimize_three(
     """Maximize three-state success over all measurements, with a certificate.
 
     Runs `_fixed_point` for at most `refine_iters` steps and returns the
-    best POVM visited as MeasurementParams3, its Born-rule success, the
-    smallest dual bound visited and the number of iterates evaluated.
-    `grid_n` (>= 16) and `seed` are validated and accepted only: there is
+    best POVM visited, its Born-rule success, the smallest dual bound
+    visited and the number of iterates evaluated.  `grid_n` (>= 16) is
+    validated and accepted only; `seed` is accepted and ignored.  There is
     no grid and no random start, so every seed gives the same result.
     """
     if grid_n < 16 or refine_iters < 0:
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
-    kets = np.array([state.ket for state in ensemble.states()])
-    priors = np.array(ensemble.priors().probabilities)
-    effects, dual, evaluations = _fixed_point(kets, priors, refine_iters)
-    tops = np.linalg.eigh(effects)[1][:, :, -1]
-    params = MeasurementParams3(
-        weights=tuple(np.trace(effects, axis1=1, axis2=2)),
-        angles=tuple(np.arctan2(tops[:, 1], tops[:, 0])),
-    )
-    return OracleResult(
-        success=success_three(ensemble, params),
-        params=params,
-        evaluations=evaluations,
-        dual_bound=dual,
-    )
+    states, priors = ensemble.states(), ensemble.priors()
+    kets = np.array([state.ket for state in states])
+    effects, dual, evaluations = _fixed_point(kets, np.array(priors.probabilities), refine_iters)
+    return _verdict(states, priors, effects, evaluations, dual)

@@ -91,23 +91,21 @@ class Effect:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect must be a 2x2 matrix, got shape {m.shape}")
-        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
+        if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
             raise ValueError("non-Hermitian effect")
-        if not np.min(np.linalg.eigvalsh(m)) >= -PSD_TOL:
+        if not np.linalg.eigvalsh(m)[0] >= -PSD_TOL:  # eigenvalues ascend
             raise ValueError("non-positive effect")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Effect):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
     @classmethod
     def projector(cls, state: PureState) -> "Effect":
         return cls(state.projector())
-
-    @classmethod
-    def scaled_projector(cls, weight: float, state: PureState) -> "Effect":
-        """weight * |psi><psi| with weight >= 0 (rank-1 POVM building block)."""
-        if not weight >= 0.0:
-            raise ValueError("non-positive effect")
-        return cls(weight * state.projector())
 
     @classmethod
     def identity(cls) -> "Effect":
@@ -149,7 +147,7 @@ class Povm:
         if len(labels) != len(self.effects):
             raise ValueError("one label per effect required")
         total = sum(e.matrix for e in self.effects)
-        if np.max(np.abs(total - _IDENTITY)) > COMPLETENESS_TOL:
+        if np.abs(total - _IDENTITY).max() > COMPLETENESS_TOL:
             raise ValueError("incomplete POVM")
         object.__setattr__(self, "effects", tuple(self.effects))
         object.__setattr__(self, "labels", labels)

@@ -183,13 +183,6 @@ class TestCmdMap:
         capsys.readouterr()
         assert serial.read_bytes() == threaded.read_bytes()
 
-    def test_bad_thread_override_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MESD_THREADS", "zero")
-        out = tmp_path / "grid.csv"
-        assert main(["map", "--theta-steps", "3", "--prior-steps", "3",
-                     "--out", str(out)]) == 2
-        capsys.readouterr()
-
     def test_sign_change_along_trine_row(self, tmp_path, capsys):
         # at theta = pi/3 the gap flips sign between priors 0.46 and 0.47
         out = tmp_path / "grid.csv"
@@ -257,14 +250,6 @@ class TestCmdMap:
                      "--out", str(out), "--format", fmt]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
-    def test_bad_thread_override_writes_no_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MESD_THREADS", "zero")
-        out = tmp_path / "grid.csv"
-        assert main(["map", "--theta-steps", "3", "--prior-steps", "3",
-                     "--out", str(out)]) == 2
-        assert "MESD_THREADS" in capsys.readouterr().err
-        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_prior_steps(self, tmp_path, fmt):

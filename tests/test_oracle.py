@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mesd import oracle
 from mesd.analytic import (
@@ -12,16 +13,8 @@ from mesd.analytic import (
     quantum_three,
     threshold_prior,
 )
-from mesd.oracle import (
-    MeasurementParams2,
-    MeasurementParams3,
-    discrimination_success,
-    optimize_three,
-    optimize_two,
-    success_three,
-    success_two,
-)
-from mesd.qcore import Effect, identity_matrix, make_state, validate_povm
+from mesd.oracle import discrimination_success, optimize_three, optimize_two
+from mesd.qcore import Effect, PriorDistribution, identity_matrix, make_state, validate_povm
 
 # 0.5 * (1 + sqrt(1 - 4 * 0.3 * 0.7 * 0.75)), frozen after evaluating it
 HELSTROM_P03_C075 = 0.804138126514911
@@ -29,38 +22,44 @@ TRINE = MirrorEnsemble(math.pi / 3, 1 / 3)
 HALF_PI = math.pi / 2
 
 
-def trine_params() -> MeasurementParams3:
-    return MeasurementParams3(
-        weights=(2 / 3, 2 / 3, 2 / 3), angles=(math.pi / 3, -math.pi / 3, 0.0)
-    )
+def rank_one(weights, angles) -> list[np.ndarray]:
+    """Effects a_i |phi(alpha_i)><phi(alpha_i)| as raw matrices, unvalidated."""
+    return [
+        w * np.outer([math.cos(a), math.sin(a)], [math.cos(a), math.sin(a)])
+        for w, a in zip(weights, angles)
+    ]
 
 
-class TestMeasurementParams:
-    def test_angle_normalized(self):
-        assert MeasurementParams2(-0.5).angle == pytest.approx(
-            2 * math.pi - 0.5, abs=1e-12
-        )
+def trine_povm():
+    return validate_povm(rank_one((2 / 3, 2 / 3, 2 / 3), (math.pi / 3, -math.pi / 3, 0.0)))
 
-    def test_params3_requires_completeness(self):
-        with pytest.raises(ValueError):
-            MeasurementParams3(weights=(1.0, 1.0, 1.0), angles=(0.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            MeasurementParams3(weights=(2.0, 0.0, 0.0), angles=(0.3, 0.0, 0.0))
 
-    def test_params3_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
-            MeasurementParams3(
-                weights=(-0.5, 1.5, 1.0),
-                angles=(0.0, 0.0, math.pi / 2),
-            )
+def two_state_success(s1, s2, p, angle) -> float:
+    """Success of the projective measurement at `angle` (outcome 1 guesses s1)."""
+    projector = make_state(angle).projector()
+    povm = validate_povm([projector, identity_matrix() - projector])
+    return discrimination_success((s1, s2), PriorDistribution((1.0 - p, p)), povm)
+
+
+class TestRankOneMeasurements:
+    """Rank-1 effects a_i |phi_i><phi_i|, validated as a POVM."""
+
+    def test_requires_completeness(self):
+        with pytest.raises(ValueError, match="incomplete"):
+            validate_povm(rank_one((1.0, 1.0, 1.0), (0.0, 1.0, 2.0)))
+        with pytest.raises(ValueError, match="incomplete"):
+            validate_povm(rank_one((2.0, 0.0, 0.0), (0.3, 0.0, 0.0)))
+
+    def test_rejects_negative_weight(self):
+        with pytest.raises(ValueError, match="non-positive"):
+            validate_povm(rank_one((-0.5, 1.5, 1.0), (0.0, 0.0, math.pi / 2)))
 
     def test_projective_pair_is_valid(self):
-        m = MeasurementParams3(weights=(1.0, 1.0, 0.0), angles=(0.2, 0.2 + math.pi / 2, 0.0))
-        povm = m.to_povm()
+        povm = validate_povm(rank_one((1.0, 1.0, 0.0), (0.2, 0.2 + math.pi / 2, 0.0)))
         assert len(povm) == 3
 
-    def test_trine_params_make_a_povm(self):
-        total = sum(e.matrix for e in trine_params().to_povm().effects)
+    def test_trine_makes_a_povm(self):
+        total = sum(e.matrix for e in trine_povm().effects)
         assert np.allclose(total, np.eye(2), atol=1e-12)
 
 
@@ -69,14 +68,12 @@ class TestSuccessTwo:
         s1 = make_state(0.0)
         s2 = make_state(math.pi / 2)
         for p in (0.0, 0.3, 0.5, 1.0):
-            assert success_two(s1, s2, p, MeasurementParams2(0.0)) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert two_state_success(s1, s2, p, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states_best_label(self):
         psi = make_state(0.4)
         values = [
-            success_two(psi, psi, 0.3, MeasurementParams2(a))
+            two_state_success(psi, psi, 0.3, a)
             for a in np.linspace(0.0, math.pi, 720, endpoint=False)
         ]
         assert max(values) <= 0.7 + 1e-12
@@ -87,14 +84,14 @@ class TestSuccessTwo:
         s1 = make_state(0.0)
         s2 = make_state(math.pi / 3)
         best = max(
-            success_two(s1, s2, 0.5, MeasurementParams2(a))
+            two_state_success(s1, s2, 0.5, a)
             for a in np.linspace(0.0, math.pi, 100000, endpoint=False)
         )
         assert best == pytest.approx(0.9330127018922194, abs=1e-7)
 
     def test_prior_out_of_range(self):
         with pytest.raises(ValueError):
-            success_two(make_state(0.0), make_state(1.0), 1.2, MeasurementParams2(0.0))
+            two_state_success(make_state(0.0), make_state(1.0), 1.2, 0.0)
 
 
 class TestOptimizeTwo:
@@ -132,7 +129,8 @@ class TestOptimizeTwo:
 
 class TestSuccessThree:
     def test_trine_povm_on_trine_ensemble(self):
-        assert success_three(TRINE, trine_params()) == pytest.approx(2 / 3, abs=1e-12)
+        value = discrimination_success(TRINE.states(), TRINE.priors(), trine_povm())
+        assert value == pytest.approx(2 / 3, abs=1e-12)
 
     def test_blind_guess_third_state(self):
         # outcome-3 effect = identity: the guesser always names the third
@@ -155,19 +153,21 @@ class TestSuccessThree:
     def test_matches_direct_matrix_arithmetic(self):
         # independent route: raw numpy matrices, no qcore types
         ensemble = MirrorEnsemble(0.8, 0.3)
-        m = MeasurementParams3(weights=(1.0, 1.0, 0.0), angles=(0.9, 0.9 + math.pi / 2, 0.0))
+        weights, angles = (1.0, 1.0, 0.0), (0.9, 0.9 + math.pi / 2, 0.0)
         expected = 0.0
         priors = (0.3, 0.3, 0.4)
-        for pr, sa, w, ma in zip(priors, (0.8, -0.8, 0.0), m.weights, m.angles):
+        for pr, sa, w, ma in zip(priors, (0.8, -0.8, 0.0), weights, angles):
             ket = np.array([math.cos(sa), math.sin(sa)])
             phi = np.array([math.cos(ma), math.sin(ma)])
             effect = w * np.outer(phi, phi)
             expected += pr * float(ket @ effect @ ket)
-        assert success_three(ensemble, m) == pytest.approx(expected, abs=1e-12)
+        povm = validate_povm(rank_one(weights, angles))
+        value = discrimination_success(ensemble.states(), ensemble.priors(), povm)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            MeasurementParams3(weights=(0.5, 0.5, 0.5), angles=(0.0, 1.0, 2.0))
+            validate_povm(rank_one((0.5, 0.5, 0.5), (0.0, 1.0, 2.0)))
 
 
 class TestOptimizeThree:
@@ -205,8 +205,7 @@ class TestOptimizeThree:
 
     def test_result_params_are_valid(self):
         r = optimize_three(MirrorEnsemble(0.9, 0.3))
-        povm = r.params.to_povm()
-        total = sum(e.matrix for e in povm.effects)
+        total = sum(e.matrix for e in r.povm.effects)
         assert np.allclose(total, np.eye(2), atol=1e-9)
 
     def test_grid_too_small(self):
@@ -221,7 +220,7 @@ class TestOptimizeThree:
 ])
 def test_params3_rejects_nan(weights, angles):
     with pytest.raises(ValueError):
-        MeasurementParams3(weights=weights, angles=angles)
+        validate_povm(rank_one(weights, angles))
 
 
 def test_optimize_two_rejects_oversize_grid_before_allocating(monkeypatch):
@@ -269,9 +268,11 @@ def reference_three(theta: float, p: float) -> float:
 
 
 def certificate_points() -> list[tuple[float, float]]:
-    """Edges, the threshold prior p*(theta) and its 1e-9 neighbours, p = 1/3."""
+    """Edges, the threshold prior p*(theta) and its 1e-9 neighbours, p = 1/3,
+    and theta so small that G in the fixed point is too inexact to invert."""
     points = []
-    for theta in (0.0, 1e-6, 0.3, math.pi / 4, 1.2, HALF_PI - 1e-9, HALF_PI):
+    for theta in (0.0, 5.6e-154, 1e-150, 1e-6, 0.3, math.pi / 4, 1.2, HALF_PI - 1e-9,
+                  HALF_PI):
         star = threshold_prior(theta)
         for p in (0.0, 1e-6, 0.1, 1 / 3, star, star * (1 - 1e-9), star * (1 + 1e-9), 0.5):
             if p <= 0.5 and (theta, p) not in points:
@@ -294,11 +295,43 @@ def test_certificate_brackets_the_optimum(theta, p):
 def test_singular_points_give_complete_params(theta, p):
     # every weighted state lies on one ray, so G in the fixed point is singular
     r = optimize_three(MirrorEnsemble(theta, p))
-    total = sum(e.matrix for e in r.params.to_povm().effects)
+    total = sum(e.matrix for e in r.povm.effects)
     assert np.allclose(total, np.eye(2), atol=1e-12)
     assert r.dual_bound == pytest.approx(r.success, abs=1e-12)
 
 
 def test_result_does_not_depend_on_seed_or_grid():
     ensemble = MirrorEnsemble(1.1, 0.27)
-    assert optimize_three(ensemble, seed=1) == optimize_three(ensemble, grid_n=16, seed=2)
+    reference = optimize_three(ensemble, seed=1)
+    assert reference == optimize_three(ensemble, grid_n=16, seed=2)
+    assert reference == optimize_three(ensemble, seed=-1)
+
+
+@pytest.mark.parametrize("solve,kets,priors", [
+    (lambda: optimize_two(make_state(0.0), make_state(0.4), 0.3),
+     [make_state(0.0).ket, make_state(0.4).ket], [0.7, 0.3]),
+    (lambda: optimize_three(MirrorEnsemble(0.7, 0.2)),
+     [s.ket for s in MirrorEnsemble(0.7, 0.2).states()], [0.2, 0.2, 0.6]),
+], ids=["two", "three"])
+def test_reported_povm_is_the_certified_one(solve, kets, priors):
+    r = solve()
+    effects = np.array([e.matrix.real for e in r.povm.effects])
+    value, bound = oracle._certificate(np.array(kets), np.array(priors), effects)
+    assert value == pytest.approx(r.success, abs=1e-15)
+    assert bound >= r.dual_bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, HALF_PI), st.floats(0.0, 1.0))
+def test_two_state_oracle_brackets_the_reference(sep, p):
+    r = optimize_two(make_state(0.0), make_state(sep), p)
+    assert r.success - 1e-12 <= reference_two(sep, p) <= r.dual_bound + 1e-12
+    assert np.allclose(sum(e.matrix for e in r.povm.effects), np.eye(2), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, HALF_PI), st.floats(0.0, 0.5))
+def test_three_state_oracle_brackets_the_reference(theta, p):
+    r = optimize_three(MirrorEnsemble(theta, p))
+    assert r.success - 1e-12 <= reference_three(theta, p) <= r.dual_bound + 1e-12
+    assert np.allclose(sum(e.matrix for e in r.povm.effects), np.eye(2), rtol=0, atol=1e-9)

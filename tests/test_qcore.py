@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mesd.ontic import FiniteOnticModel, ResponseFunction
 from mesd.qcore import (
     Effect,
     PriorDistribution,
@@ -103,9 +104,9 @@ class TestBornProbability:
         third = 2.0 / 3.0
         povm = validate_povm(
             [
-                Effect.scaled_projector(third, make_state(0.0)),
-                Effect.scaled_projector(third, make_state(2 * math.pi / 3)),
-                Effect.scaled_projector(third, make_state(4 * math.pi / 3)),
+                Effect(third * make_state(0.0).projector()),
+                Effect(third * make_state(2 * math.pi / 3).projector()),
+                Effect(third * make_state(4 * math.pi / 3).projector()),
             ]
         )
         total = sum(povm.outcome_probabilities(make_state(angle)))
@@ -234,7 +235,7 @@ def _unchecked_effect(matrix) -> Effect:
     [
         lambda: PriorDistribution((math.nan, 0.5, 0.5)),
         lambda: Effect(np.array([[math.nan, 0.0], [0.0, 1.0]])),
-        lambda: Effect.scaled_projector(math.nan, make_state(0.3)),
+        lambda: Effect(math.nan * make_state(0.3).projector()),
         lambda: born_probability(
             make_state(0.3), _unchecked_effect([[math.nan, 0.0], [0.0, 1.0]])
         ),
@@ -244,3 +245,19 @@ def _unchecked_effect(matrix) -> Effect:
 def test_nan_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Effect(np.diag([1.0, x])),
+        lambda x: validate_povm([np.diag([1.0, x]), np.diag([0.0, 1.0 - x])]),
+        lambda x: FiniteOnticModel(np.array([[1.0, 0.0], [x, 1.0 - x]]),
+                                   PriorDistribution((0.5, 0.5))),
+        lambda x: ResponseFunction(np.array([[1.0, x], [0.0, 1.0 - x]])),
+    ],
+    ids=["effect", "povm", "ontic-model", "response"],
+)
+def test_array_holding_values_compare_by_value(build):
+    assert build(0.25) == build(0.25)
+    assert build(0.25) != build(0.5)
