@@ -8,12 +8,17 @@ Two discrimination tasks are covered:
 * three mirror-symmetric states {cos(t)|0> +/- sin(t)|1>, |0>} with priors
   (p, p, 1-2p), where the quantum optimum has two branches split by a
   threshold prior and the noncontextual cap splits at p = 1/3.
+
+`advantage_three_row` computes the map's slices as arrays, bit-identical to
+the scalar `advantage_three`, which stays the test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .qcore import PriorDistribution, PureState, make_state
 
@@ -179,3 +184,38 @@ def advantage_three(ensemble: MirrorEnsemble) -> BoundPair:
     q = quantum_three(ensemble)
     n = nc_three_bound(ensemble)
     return BoundPair(quantum=q, noncontextual=n, gap=q - n)
+
+
+def advantage_three_row(theta: float,
+                        priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`advantage_three` at one theta over an array of priors, as arrays
+    (quantum, noncontextual, gap) with the same checks.  The per-theta factors
+    are the scalar functions' `math` expressions and the per-prior arithmetic,
+    branches and clamp run in their order, so every element is bit-identical."""
+    p_star = threshold_prior(theta)
+    p = np.asarray(priors, dtype=float)
+    _check_unit_interval(p, 0.5, "prior_p must lie in [0, 1/2], got")
+    cos_sq, sin_sq = math.cos(theta) ** 2, math.sin(theta) ** 2
+    value = p * (1.0 + math.sin(2.0 * theta))
+    low = p < p_star  # the complement of quantum_three_branch's p >= p*
+    pl = p[low]
+    denom = 1.0 - 2.0 * pl - pl * cos_sq
+    value[low] = (1.0 - 2.0 * pl) * (pl * sin_sq + denom) / denom
+    # min(1.0, max(0.0, v)) as Python evaluates it: NaN and -0.0 give 0.0.
+    value = np.where(value > 0.0, value, 0.0)
+    quantum = np.where(value < 1.0, value, 1.0)
+    weight = np.where(p <= 1.0 / 3.0, p, 1.0 - 2.0 * p)  # of c13 in nc_three_bound
+    noncontextual = 1.0 - p * math.cos(2.0 * theta) ** 2 - weight * cos_sq
+    gap = quantum - noncontextual
+    _check_unit_interval(quantum, 1.0, "quantum value out of [0, 1]:")
+    _check_unit_interval(noncontextual, 1.0, "noncontextual value out of [0, 1]:")
+    if np.any(np.abs(gap - (quantum - noncontextual)) > 1e-15):
+        raise ValueError("gap must equal quantum - noncontextual")
+    return quantum, noncontextual, gap
+
+
+def _check_unit_interval(values: np.ndarray, upper: float, message: str) -> None:
+    """Raise `ValueError` naming the first value outside [0, upper]."""
+    bad = ~((0.0 <= values) & (values <= upper))
+    if bad.any():
+        raise ValueError(f"{message} {values[bad][0].item()!r}")

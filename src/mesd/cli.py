@@ -11,8 +11,8 @@ Commands
 Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
 failed: oracle difference above `--tol`, or an ontic-check model failing a
 bound or the identity.  Output is deterministic: identical configuration
-gives byte-identical files.  `map` writes chunks of at most 256 cells, so
-its memory depends on neither axis of the grid.
+gives byte-identical files.  `map` computes and writes theta-row slices of
+at most 256 cells, so its memory depends on neither axis of the grid.
 
 Angles take radians (`--theta`, `--sep`) or degrees (`--theta-deg`,
 `--sep-deg`); `ontic-check --seed` must be >= 0.  Bad input exits 2 with
@@ -24,7 +24,6 @@ the library's `error:` line, e.g. `oracle-two` prints
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -41,6 +40,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
 _MAP_CHUNK = 256  # cells per piece of the map file; bounds its memory on any grid
+_MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
 
 
 def _fmt(x: float) -> str:
@@ -132,28 +132,13 @@ def cmd_three(args: argparse.Namespace) -> int:
     return _emit(_render_record(record, args.format), args.out)
 
 
-def _map_cells(theta_steps: int, prior_steps: int) -> Iterator[dict]:
-    """The map's cell records, theta-major, computed one at a time."""
-    for i in range(theta_steps):
-        theta = (math.pi / 2.0) * i / (theta_steps - 1)
-        for j in range(prior_steps):
-            prior = 0.5 * j / (prior_steps - 1)
-            pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
-            yield {
-                "theta": theta,
-                "prior": prior,
-                "s_quantum": pair.quantum,
-                "s_nc_bound": pair.noncontextual,
-                "gap": pair.gap,
-                "advantage": pair.advantage,
-            }
-
-
 def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
-    """The map file in pieces of `_MAP_CHUNK` cells, plus the CSV header or
-    the JSON text around the cells list."""
-    cells = _map_cells(theta_steps, prior_steps)
-    if fmt == "json":
+    """The map file in pieces of at most `_MAP_CHUNK` cells, theta-major,
+    plus the CSV header or the JSON text around the cells list.  Each piece
+    is one slice of a theta-row, computed by `analytic.advantage_three_row`."""
+    if fmt == "csv":
+        yield ",".join(_MAP_FIELDS) + "\n"
+    else:
         config = {
             "command": "map",
             "theta_steps": theta_steps,
@@ -162,17 +147,29 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
         }
         head, tail = json.dumps({"config": config, "cells": []}, indent=2).split("[]")
         yield head + "["
-    chunks = iter(lambda: list(itertools.islice(cells, _MAP_CHUNK)), [])
-    for k, chunk in enumerate(chunks):
-        if fmt == "csv":
-            if k == 0:
-                yield ",".join(chunk[0]) + "\n"
-            yield "".join(_csv_row(r) + "\n" for r in chunk)
-        else:
-            # The cells sit one level deeper in the payload than in a bare
-            # list: drop the chunk list's brackets and indent every line once more.
-            text = json.dumps([_json_obj(r) for r in chunk], indent=2)[1:-2]
-            yield ("," if k else "") + text.replace("\n", "\n  ")
+    separator = ""
+    for i in range(theta_steps):
+        theta = (math.pi / 2.0) * i / (theta_steps - 1)
+        # `%.9g` renders as `_fmt` does; `+ 0.0` is its -0.0 canonicalization.
+        template = _fmt(theta) + ",%.9g,%.9g,%.9g,%.9g,%s\n"
+        for start in range(0, prior_steps, _MAP_CHUNK):
+            j = np.arange(start, min(start + _MAP_CHUNK, prior_steps))
+            prior = 0.5 * j / (prior_steps - 1)
+            columns = (prior, *analytic.advantage_three_row(theta, prior))
+            advantage = (columns[3] > analytic.ADVANTAGE_TOL).tolist()
+            if fmt == "csv":
+                floats = [(c + 0.0).tolist() for c in columns]
+                flags = [("false", "true")[a] for a in advantage]
+                yield "".join(map(template.__mod__, zip(*floats, flags)))
+            else:
+                thetas = np.full_like(prior, theta)
+                cells = zip(*(c.tolist() for c in (thetas, *columns)), advantage)
+                # The cells sit one level deeper in the payload than in a bare
+                # list: drop the list's brackets and indent every line once more.
+                text = json.dumps([_json_obj(dict(zip(_MAP_FIELDS, c))) for c in cells],
+                                  indent=2)[1:-2]
+                yield separator + text.replace("\n", "\n  ")
+                separator = ","
     if fmt == "json":
         yield "\n  ]" + tail + "\n"
 

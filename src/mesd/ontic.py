@@ -39,7 +39,7 @@ def _as_distribution_row(row: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compares by value, so unhashable
 class FiniteOnticModel:
     """Per-preparation epistemic distributions over a finite ontic space.
 
@@ -83,7 +83,7 @@ class FiniteOnticModel:
         return np.asarray(self.priors.probabilities)[:, None] * self.distributions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compares by value, so unhashable
 class ResponseFunction:
     """Outcome probabilities per ontic state: entry (k, l) is xi(k|l).
     Columns are distributions over outcomes."""

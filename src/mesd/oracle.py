@@ -53,6 +53,7 @@ class OracleResult:
     povm: Povm
     evaluations: int
     dual_bound: float
+    __hash__ = None  # type: ignore[assignment]  # its povm is unhashable
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.success <= 1.0:

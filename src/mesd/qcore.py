@@ -77,7 +77,7 @@ def confusability(a: PureState, b: PureState) -> float:
     return min(1.0, max(0.0, inner * inner))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compares by value, so unhashable
 class Effect:
     """A positive semidefinite 2x2 measurement effect.
 
@@ -139,6 +139,7 @@ class Povm:
 
     effects: tuple[Effect, ...]
     labels: tuple[object, ...] = field(default=())
+    __hash__ = None  # type: ignore[assignment]  # its effects are unhashable
 
     def __post_init__(self) -> None:
         if not self.effects:

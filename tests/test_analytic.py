@@ -1,14 +1,17 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mesd.analytic import (
+    ADVANTAGE_TOL,
     BoundPair,
     MirrorEnsemble,
     TwoStateScenario,
     advantage_three,
+    advantage_three_row,
     advantage_two,
     helstrom_two,
     nc_three_bound,
@@ -274,6 +277,41 @@ class TestAdvantageThree:
         pair = advantage_three(MirrorEnsemble(math.pi / 3, 1 / 3))
         assert pair.gap == pytest.approx(-1 / 6, abs=1e-12)
         assert not pair.advantage
+
+
+def branch_points(theta: float) -> list[float]:
+    """0, 1/2, p*(theta) and 1/3 with their adjacent doubles, inside [0, 1/2]."""
+    points = [0.0, 0.5]
+    for centre in (threshold_prior(theta), 1.0 / 3.0):
+        points += [math.nextafter(centre, 0.0), centre, math.nextafter(centre, 1.0)]
+    return [p for p in points if p <= 0.5]
+
+
+class TestAdvantageThreeRow:
+    @given(
+        theta=st.one_of(st.sampled_from([0.0, math.pi / 2]), THETAS),
+        drawn=st.lists(PRIORS3, max_size=12),
+        data=st.data(),
+    )
+    def test_bit_identical_to_the_scalar_path(self, theta, drawn, data):
+        priors = data.draw(st.permutations(drawn + branch_points(theta)))
+        row = advantage_three_row(theta, np.array(priors))
+        pairs = [advantage_three(MirrorEnsemble(theta, p)) for p in priors]
+        for got, field in zip(row, ("quantum", "noncontextual", "gap")):
+            expected = np.array([getattr(pair, field) for pair in pairs])
+            assert got.tobytes() == expected.tobytes(), field
+        assert (row[2] > ADVANTAGE_TOL).tolist() == [pair.advantage for pair in pairs]
+
+    @pytest.mark.parametrize("theta,priors", [
+        (math.nan, [0.2]),
+        (0.3, [0.1, math.nan]),
+        (0.3, [0.2, math.nextafter(0.5, 1.0)]),
+        (0.3, [-0.1]),
+        (math.pi / 2 + 0.1, [0.2]),
+    ])
+    def test_domain_is_the_scalar_domain(self, theta, priors):
+        with pytest.raises(ValueError, match="must lie in"):
+            advantage_three_row(theta, np.array(priors))
 
 
 class TestValidation:

@@ -226,8 +226,9 @@ class TestCmdMap:
 
     # Reference SHA-256 of the map bytes.  4x4 puts p = 1/3 = p*(0) on the
     # grid; 7x4 puts p = 1/3, theta = pi/6 and theta = pi/3 on it.  The map
-    # is written 256 cells at a time: 23x29 cuts theta-rows at chunk edges,
-    # 2x256 ends exactly on one.
+    # is written in pieces of at most 256 cells, each a slice of one
+    # theta-row: a row fits one piece at 23x29 and exactly at 2x256, and
+    # needs two at 3x257 and three at 2x513.
     @pytest.mark.parametrize("fmt,theta_steps,prior_steps,digest", [
         ("csv", 2, 2, "2a0b8e2d5c84785bf1ef46ff3c353b7830d20b09ee5963e9fdfb20f511865c95"),
         ("csv", 4, 4, "7ee3d055017e243cda2c34a00b4862c562533024102dc5fffac92f0bacb1e19f"),
@@ -241,6 +242,10 @@ class TestCmdMap:
         ("json", 23, 29, "0ed3cba419e7ce5365830cf7efcd0b2172ccb0e9595c2f573b75978a61843cb9"),
         ("csv", 2, 256, "40209412e9321c1226fa492c09c0a0bb128e43c51e7a08f827e75a2f38912fff"),
         ("json", 2, 256, "5c85c43113e6212b8634ace137134d3f940e0d98ef778894b29f630f6d558cd3"),
+        ("csv", 3, 257, "cdd13479e1aa73f71b9f4ea865bbe276272104c3c849d2a5ea0ccd89a385acf0"),
+        ("json", 3, 257, "e835f93ae3f787c44d5480d4268fe03dc1ec5de9a982162de4074e4eb5f1e709"),
+        ("csv", 2, 513, "bf06ea490b7232d5a6f5a0b803f6a5d8bfaaa5ae997d8649f48c741fb3d2139d"),
+        ("json", 2, 513, "a0e2e38b635453a087bdd909e046ed6f6356e286142105e499a6ea83ae2a6e8b"),
     ])
     def test_bytes_match_reference_digest(self, tmp_path, capsys, fmt,
                                           theta_steps, prior_steps, digest):

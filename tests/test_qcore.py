@@ -1,3 +1,4 @@
+import collections.abc
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mesd.ontic import FiniteOnticModel, ResponseFunction
+from mesd.oracle import optimize_two
 from mesd.qcore import (
     Effect,
     PriorDistribution,
@@ -261,3 +263,22 @@ def test_nan_rejected(build):
 def test_array_holding_values_compare_by_value(build):
     assert build(0.25) == build(0.25)
     assert build(0.25) != build(0.5)
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: Effect(np.eye(2)), "Effect"),
+        (lambda: validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), "Povm"),
+        (lambda: optimize_two(make_state(0.0), make_state(0.5), 0.3), "OracleResult"),
+        (lambda: FiniteOnticModel(np.eye(2), PriorDistribution((0.5, 0.5))),
+         "FiniteOnticModel"),
+        (lambda: ResponseFunction(np.eye(2)), "ResponseFunction"),
+    ],
+    ids=["effect", "povm", "oracle-result", "ontic-model", "response"],
+)
+def test_array_holding_values_are_unhashable(build, name):
+    value = build()
+    assert not isinstance(value, collections.abc.Hashable)
+    with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+        hash(value)
