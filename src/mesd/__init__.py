@@ -1,5 +1,5 @@
 """Minimum-error discrimination of qubit states: quantum optima,
-preparation-noncontextual bounds, brute-force verification oracles, a finite
+preparation-noncontextual bounds, certified verification oracles, a finite
 ontological-model simulator, and a CLI for mapping advantage regions."""
 
 from .analytic import (
@@ -17,13 +17,10 @@ from .analytic import (
 )
 from .ontic import (
     FiniteOnticModel,
-    ResponseFunction,
-    check_mixing_constraint,
     check_three_state_bound,
     check_two_state_bound,
     min_overlap,
     ontic_success,
-    operational_probability,
     random_model,
 )
 from .oracle import (
@@ -40,7 +37,6 @@ from .qcore import (
     born_probability,
     confusability,
     make_state,
-    mirror_reflect,
     validate_povm,
 )
 
@@ -53,12 +49,10 @@ __all__ = [
     "Povm",
     "PriorDistribution",
     "PureState",
-    "ResponseFunction",
     "TwoStateScenario",
     "advantage_three",
     "advantage_two",
     "born_probability",
-    "check_mixing_constraint",
     "check_three_state_bound",
     "check_two_state_bound",
     "confusability",
@@ -66,11 +60,9 @@ __all__ = [
     "helstrom_two",
     "make_state",
     "min_overlap",
-    "mirror_reflect",
     "nc_three_bound",
     "nc_two_bound",
     "ontic_success",
-    "operational_probability",
     "optimize_three",
     "optimize_two",
     "quantum_three",

@@ -7,9 +7,7 @@ noncontextual bounds can be checked exactly on arbitrary models:
 
 * the optimal-Bayesian-guess success sum_l max_i p_i mu_i(l);
 * its cap 1 - sum over pairs of min(p_i, p_j) * overlap(i, j);
-* the max/min decomposition identity for three preparations;
-* the mixing constraint (mu1 + mu1bar)/2 = (mu2 + mu2bar)/2 that encodes
-  preparation noncontextuality for the maximally mixed state.
+* the max/min decomposition identity for three preparations.
 
 No attempt is made to build a model reproducing full qubit statistics; the
 point is to verify the bound derivation on finite models where it is exact.
@@ -25,18 +23,6 @@ from .qcore import PriorDistribution
 
 ROW_SUM_TOL = 1e-12
 BOUND_TOL = 1e-12
-MIXING_TOL = 1e-9
-
-
-def _as_distribution_row(row: np.ndarray, what: str) -> np.ndarray:
-    arr = np.asarray(row, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
-    if not np.all(arr >= 0.0):
-        raise ValueError(f"{what} has negative entries")
-    if not abs(float(arr.sum()) - 1.0) <= ROW_SUM_TOL:
-        raise ValueError(f"{what} must sum to 1, got {float(arr.sum())!r}")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)  # compares by value, so unhashable
@@ -74,63 +60,9 @@ class FiniteOnticModel:
     def num_preparations(self) -> int:
         return self.distributions.shape[0]
 
-    @property
-    def num_lambdas(self) -> int:
-        return self.distributions.shape[1]
-
     def weighted_joints(self) -> np.ndarray:
         """Rows p_i * mu_i(.): the joint mass of (preparation, ontic state)."""
         return np.asarray(self.priors.probabilities)[:, None] * self.distributions
-
-
-@dataclass(frozen=True, eq=False)  # compares by value, so unhashable
-class ResponseFunction:
-    """Outcome probabilities per ontic state: entry (k, l) is xi(k|l).
-    Columns are distributions over outcomes."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        xi = np.array(self.values, dtype=float)
-        if xi.ndim != 2:
-            raise ValueError(f"response values must be a 2-D matrix, got shape {xi.shape}")
-        if not np.all((xi >= 0.0) & (xi <= 1.0)):
-            raise ValueError("response entries must lie in [0, 1]")
-        col_sums = xi.sum(axis=0)
-        if not np.max(np.abs(col_sums - 1.0)) <= ROW_SUM_TOL:
-            raise ValueError("outcome probabilities must sum to 1 for every ontic state")
-        xi.flags.writeable = False
-        object.__setattr__(self, "values", xi)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResponseFunction):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-    @property
-    def num_outcomes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_lambdas(self) -> int:
-        return self.values.shape[1]
-
-
-def operational_probability(
-    model: FiniteOnticModel, prep_index: int, response: ResponseFunction, outcome: int
-) -> float:
-    """Outcome probability sum_l mu(l|psi_i) xi(k|l) the model predicts for
-    preparation i and outcome k."""
-    if response.num_lambdas != model.num_lambdas:
-        raise ValueError(
-            f"ontic space mismatch: model has {model.num_lambdas}, "
-            f"response has {response.num_lambdas}"
-        )
-    if not 0 <= prep_index < model.num_preparations:
-        raise ValueError(f"preparation index {prep_index} out of range")
-    if not 0 <= outcome < response.num_outcomes:
-        raise ValueError(f"outcome index {outcome} out of range")
-    return float(model.distributions[prep_index] @ response.values[outcome])
 
 
 def ontic_success(model: FiniteOnticModel) -> float:
@@ -230,32 +162,6 @@ def check_three_state_bound(model: FiniteOnticModel) -> ThreeStateBoundReport:
         decomposition_error=decomposition_error,
         decomposition_passed=decomposition_error <= BOUND_TOL,
     )
-
-
-def check_mixing_constraint(
-    mu1: np.ndarray,
-    mu1bar: np.ndarray,
-    mu2: np.ndarray,
-    mu2bar: np.ndarray,
-    tol: float = MIXING_TOL,
-) -> bool:
-    """True iff the two half/half mixtures agree entrywise within tol.
-
-    This is the constraint a preparation-noncontextual model must satisfy
-    when both pairs mix to the same (maximally mixed) preparation.
-    """
-    rows = [
-        _as_distribution_row(mu1, "mu1"),
-        _as_distribution_row(mu1bar, "mu1bar"),
-        _as_distribution_row(mu2, "mu2"),
-        _as_distribution_row(mu2bar, "mu2bar"),
-    ]
-    lengths = {r.shape[0] for r in rows}
-    if len(lengths) != 1:
-        raise ValueError(f"all rows must have equal length, got lengths {sorted(lengths)}")
-    mix1 = 0.5 * (rows[0] + rows[1])
-    mix2 = 0.5 * (rows[2] + rows[3])
-    return bool(np.max(np.abs(mix1 - mix2)) <= tol)
 
 
 def random_model(

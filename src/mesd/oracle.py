@@ -25,6 +25,7 @@ import numpy as np
 
 from .analytic import MirrorEnsemble
 from .qcore import (
+    TWO_PI,
     Povm,
     PriorDistribution,
     PureState,
@@ -32,8 +33,6 @@ from .qcore import (
     make_state,
     validate_povm,
 )
-
-TWO_PI = 2.0 * math.pi
 
 _MAX_GRID_N = 2**20
 # The three-state iteration stops once dual bound - success is this small.
@@ -63,7 +62,7 @@ class OracleResult:
 def discrimination_success(
     states: Sequence[PureState], priors: PriorDistribution, povm: Povm
 ) -> float:
-    """Born-rule success functional sum_i p_i <psi_i| E_i |psi_i| for a
+    """Born-rule success functional sum_i p_i <psi_i| E_i |psi_i> for a
     hypothesis-indexed POVM (effect i means "guess state i")."""
     if len(states) != len(priors) or len(povm) != len(states):
         raise ValueError("states, priors and POVM outcomes must align")

@@ -60,10 +60,6 @@ class PureState:
         k = self.ket.astype(complex)
         return np.outer(k, k.conj())
 
-    def orthogonal(self) -> "PureState":
-        """The orthogonal-complement state (angle shifted by pi/2)."""
-        return PureState(self.angle + math.pi / 2.0)
-
 
 def make_state(angle: float) -> PureState:
     """Build the pure state at `angle` radians from |0> on the great circle."""
@@ -107,10 +103,6 @@ class Effect:
     def projector(cls, state: PureState) -> "Effect":
         return cls(state.projector())
 
-    @classmethod
-    def identity(cls) -> "Effect":
-        return cls(identity_matrix())
-
 
 def born_probability(state: PureState, effect: Effect) -> float:
     """Born-rule outcome probability Tr[|psi><psi| E] = <psi|E|psi>.
@@ -128,51 +120,34 @@ def born_probability(state: PureState, effect: Effect) -> float:
     return min(1.0, max(0.0, value))
 
 
-def mirror_reflect(state: PureState) -> PureState:
-    """Reflection |0> -> |0>, |1> -> -|1>; sends angle to -angle."""
-    return PureState(-state.angle)
-
-
 @dataclass(frozen=True)
 class Povm:
     """An ordered list of effects summing to the identity, one per outcome."""
 
     effects: tuple[Effect, ...]
-    labels: tuple[object, ...] = field(default=())
     __hash__ = None  # type: ignore[assignment]  # its effects are unhashable
 
     def __post_init__(self) -> None:
         if not self.effects:
             raise ValueError("POVM needs at least one effect")
-        labels = self.labels if self.labels else tuple(range(len(self.effects)))
-        if len(labels) != len(self.effects):
-            raise ValueError("one label per effect required")
         total = sum(e.matrix for e in self.effects)
         if np.abs(total - _IDENTITY).max() > COMPLETENESS_TOL:
             raise ValueError("incomplete POVM")
         object.__setattr__(self, "effects", tuple(self.effects))
-        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return len(self.effects)
 
-    def outcome_probabilities(self, state: PureState) -> list[float]:
-        return [born_probability(state, e) for e in self.effects]
 
-
-def validate_povm(
-    effects: Sequence[Effect | np.ndarray], labels: Sequence[object] | None = None
-) -> Povm:
+def validate_povm(effects: Sequence[Effect | np.ndarray]) -> Povm:
     """Validate a list of effects (or raw 2x2 matrices) as a POVM.
 
     Raises ValueError("non-positive effect") for a negative eigenvalue and
     ValueError("incomplete POVM") when the effects do not sum to identity
     within 1e-9.
     """
-    if len(effects) == 0:
-        raise ValueError("POVM needs at least one effect")
     wrapped = tuple(e if isinstance(e, Effect) else Effect(np.asarray(e)) for e in effects)
-    return Povm(wrapped, tuple(labels) if labels is not None else ())
+    return Povm(wrapped)
 
 
 @dataclass(frozen=True)
@@ -191,6 +166,3 @@ class PriorDistribution:
 
     def __len__(self) -> int:
         return len(self.probabilities)
-
-    def __getitem__(self, i: int) -> float:
-        return self.probabilities[i]

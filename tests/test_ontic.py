@@ -3,13 +3,10 @@ import pytest
 
 from mesd.ontic import (
     FiniteOnticModel,
-    ResponseFunction,
-    check_mixing_constraint,
     check_three_state_bound,
     check_two_state_bound,
     min_overlap,
     ontic_success,
-    operational_probability,
     random_model,
 )
 from mesd.qcore import PriorDistribution
@@ -38,48 +35,6 @@ class TestModelValidation:
     def test_shape_properties(self):
         m = model([[0.25, 0.75], [0.5, 0.5]], [0.4, 0.6])
         assert m.num_preparations == 2
-        assert m.num_lambdas == 2
-
-
-class TestResponseFunction:
-    def test_columns_must_normalize(self):
-        with pytest.raises(ValueError):
-            ResponseFunction(np.array([[0.5, 0.2], [0.4, 0.8]]))
-
-    def test_entries_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            ResponseFunction(np.array([[1.5, 0.0], [-0.5, 1.0]]))
-
-
-class TestOperationalProbability:
-    def test_affirmative_on_full_support(self):
-        m = model([[0.25, 0.75]], [1.0])
-        xi = ResponseFunction(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        assert operational_probability(m, 0, xi, 0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_coin_flip(self):
-        m = model([[0.25, 0.75]], [1.0])
-        xi = ResponseFunction(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert operational_probability(m, 0, xi, 0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_hand_dot_product(self):
-        m = model([[0.25, 0.75]], [1.0])
-        xi = ResponseFunction(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert operational_probability(m, 0, xi, 0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        m = model([[0.25, 0.75]], [1.0])
-        xi = ResponseFunction(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            operational_probability(m, 0, xi, 0)
-
-    def test_index_errors(self):
-        m = model([[0.25, 0.75]], [1.0])
-        xi = ResponseFunction(np.array([[1.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            operational_probability(m, 3, xi, 0)
-        with pytest.raises(ValueError):
-            operational_probability(m, 0, xi, 5)
 
 
 class TestOnticSuccess:
@@ -214,69 +169,6 @@ class TestBayesianInversion:
             assert abs(posterior_route - ontic_success(m)) < 1e-12
 
 
-class TestMixingConstraint:
-    def test_identical_pairs(self):
-        mu = np.array([0.3, 0.7])
-        assert check_mixing_constraint(mu, 1.0 - mu, mu, 1.0 - mu)
-
-    def test_disjoint_mixtures_differ(self):
-        assert not check_mixing_constraint(
-            np.array([1.0, 0.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0, 0.0]),
-            np.array([0.0, 0.0, 1.0, 0.0]),
-            np.array([0.0, 0.0, 0.0, 1.0]),
-        )
-
-    def test_both_mixtures_uniform(self):
-        assert check_mixing_constraint(
-            np.array([0.5, 0.5, 0.0, 0.0]),
-            np.array([0.0, 0.0, 0.5, 0.5]),
-            np.array([0.5, 0.0, 0.5, 0.0]),
-            np.array([0.0, 0.5, 0.0, 0.5]),
-        )
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            check_mixing_constraint(
-                np.array([0.5, 0.5]),
-                np.array([0.5, 0.5]),
-                np.array([0.5, 0.25, 0.25]),
-                np.array([0.25, 0.5, 0.25]),
-            )
-
-    def test_rows_must_be_distributions(self):
-        with pytest.raises(ValueError):
-            check_mixing_constraint(
-                np.array([0.7, 0.7]),
-                np.array([0.5, 0.5]),
-                np.array([0.5, 0.5]),
-                np.array([0.5, 0.5]),
-            )
-
-
-class TestOrthogonalSupportRule:
-    def test_common_support_forces_equality(self):
-        # Build two preparation pairs with disjoint in-pair supports mixing
-        # to the same average; wherever the first members overlap they must
-        # agree entrywise.
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            k = int(rng.integers(1, 5))
-            blocks = [rng.random(k) + 1e-9 for _ in range(4)]
-            blocks = [0.25 * b / b.sum() for b in blocks]  # each block mass 1/4
-            a, b, c, d = blocks
-            zeros = np.zeros(k)
-            mu1 = 2.0 * np.concatenate([a, b, zeros, zeros])
-            mu1bar = 2.0 * np.concatenate([zeros, zeros, c, d])
-            mu2 = 2.0 * np.concatenate([a, zeros, c, zeros])
-            mu2bar = 2.0 * np.concatenate([zeros, b, zeros, d])
-            assert check_mixing_constraint(mu1, mu1bar, mu2, mu2bar, tol=1e-9)
-            assert np.max(np.abs(mu1 * mu1bar)) == 0.0
-            assert np.max(np.abs(mu2 * mu2bar)) == 0.0
-            common = (mu1 > 0) & (mu2 > 0)
-            assert np.allclose(mu1[common], mu2[common], atol=1e-9)
-
-
 class TestRandomModel:
     def test_rows_and_priors_normalized(self):
         rng = np.random.default_rng(41)
@@ -289,13 +181,8 @@ class TestRandomModel:
     "build",
     [
         lambda: model([[np.nan, 1.0], [0.5, 0.5]], [0.5, 0.5]),
-        lambda: ResponseFunction(np.array([[np.nan, 0.5], [1.0, 0.5]])),
-        lambda: check_mixing_constraint(
-            np.array([np.nan, 1.0]), np.array([0.5, 0.5]),
-            np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-        ),
     ],
-    ids=["model", "response", "distribution-row"],
+    ids=["model"],
 )
 def test_nan_rejected(build):
     with pytest.raises(ValueError):

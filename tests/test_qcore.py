@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesd.ontic import FiniteOnticModel, ResponseFunction
+from mesd.ontic import FiniteOnticModel
 from mesd.oracle import optimize_two
 from mesd.qcore import (
     Effect,
@@ -15,16 +15,10 @@ from mesd.qcore import (
     confusability,
     identity_matrix,
     make_state,
-    mirror_reflect,
     validate_povm,
 )
 
 ANGLES = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
-
-
-def circular_diff(a: float, b: float) -> float:
-    d = (a - b) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
 
 
 class TestMakeState:
@@ -59,7 +53,7 @@ class TestConfusability:
 
     def test_orthogonal(self):
         psi = make_state(0.7)
-        assert confusability(psi, psi.orthogonal()) == pytest.approx(0.0, abs=1e-12)
+        assert confusability(psi, make_state(0.7 + math.pi / 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_mirror_pair_at_pi_third(self):
         # cos^2 of twice the half-opening angle
@@ -88,7 +82,7 @@ class TestBornProbability:
 
     def test_orthogonal_projector(self):
         psi = make_state(1.1)
-        proj = Effect.projector(psi.orthogonal())
+        proj = Effect.projector(make_state(1.1 + math.pi / 2))
         assert born_probability(psi, proj) == pytest.approx(0.0, abs=1e-12)
 
     @given(ANGLES)
@@ -111,42 +105,9 @@ class TestBornProbability:
                 Effect(third * make_state(4 * math.pi / 3).projector()),
             ]
         )
-        total = sum(povm.outcome_probabilities(make_state(angle)))
+        psi = make_state(angle)
+        total = sum(born_probability(psi, e) for e in povm.effects)
         assert abs(total - 1.0) < 1e-9
-
-
-class TestMirrorReflect:
-    def test_maps_first_mirror_state_to_second(self):
-        theta = 0.9
-        assert mirror_reflect(make_state(theta)).angle == pytest.approx(
-            make_state(-theta).angle, abs=1e-12
-        )
-
-    def test_zero_state_fixed(self):
-        assert mirror_reflect(make_state(0.0)).angle == 0.0
-
-    @given(ANGLES)
-    def test_involution(self, angle):
-        psi = make_state(angle)
-        assert circular_diff(mirror_reflect(mirror_reflect(psi)).angle, psi.angle) < 1e-9
-
-    @given(ANGLES)
-    def test_preserves_overlap_with_zero_state(self, angle):
-        psi = make_state(angle)
-        zero = make_state(0.0)
-        assert confusability(psi, zero) == pytest.approx(
-            confusability(mirror_reflect(psi), zero), abs=1e-12
-        )
-
-    def test_mirror_ensemble_setwise_invariant(self):
-        theta = 1.2
-        original = {make_state(a).angle for a in (theta, -theta, 0.0)}
-        reflected = {
-            mirror_reflect(make_state(a)).angle for a in (theta, -theta, 0.0)
-        }
-        assert all(
-            any(abs(r - o) < 1e-12 for o in original) for r in reflected
-        )
 
 
 class TestEffect:
@@ -159,7 +120,7 @@ class TestEffect:
             Effect(np.array([[-0.5, 0.0], [0.0, 1.0]]))
 
     def test_matrix_frozen(self):
-        e = Effect.identity()
+        e = Effect(identity_matrix())
         with pytest.raises(ValueError):
             e.matrix[0, 0] = 5.0
 
@@ -195,18 +156,12 @@ class TestValidatePovm:
         with pytest.raises(ValueError):
             validate_povm([])
 
-    def test_default_labels(self):
-        povm = validate_povm(
-            [Effect.projector(make_state(0.3)), Effect.projector(make_state(0.3 + math.pi / 2))]
-        )
-        assert povm.labels == (0, 1)
-
 
 class TestPriorDistribution:
     def test_valid(self):
         priors = PriorDistribution((0.2, 0.2, 0.6))
         assert len(priors) == 3
-        assert priors[2] == 0.6
+        assert priors.probabilities[2] == 0.6
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -256,9 +211,8 @@ def test_nan_rejected(build):
         lambda x: validate_povm([np.diag([1.0, x]), np.diag([0.0, 1.0 - x])]),
         lambda x: FiniteOnticModel(np.array([[1.0, 0.0], [x, 1.0 - x]]),
                                    PriorDistribution((0.5, 0.5))),
-        lambda x: ResponseFunction(np.array([[1.0, x], [0.0, 1.0 - x]])),
     ],
-    ids=["effect", "povm", "ontic-model", "response"],
+    ids=["effect", "povm", "ontic-model"],
 )
 def test_array_holding_values_compare_by_value(build):
     assert build(0.25) == build(0.25)
@@ -273,9 +227,8 @@ def test_array_holding_values_compare_by_value(build):
         (lambda: optimize_two(make_state(0.0), make_state(0.5), 0.3), "OracleResult"),
         (lambda: FiniteOnticModel(np.eye(2), PriorDistribution((0.5, 0.5))),
          "FiniteOnticModel"),
-        (lambda: ResponseFunction(np.eye(2)), "ResponseFunction"),
     ],
-    ids=["effect", "povm", "oracle-result", "ontic-model", "response"],
+    ids=["effect", "povm", "oracle-result", "ontic-model"],
 )
 def test_array_holding_values_are_unhashable(build, name):
     value = build()
