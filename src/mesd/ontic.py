@@ -9,6 +9,11 @@ noncontextual bounds can be checked exactly on arbitrary models:
 * its cap 1 - sum over pairs of min(p_i, p_j) * overlap(i, j);
 * the max/min decomposition identity for three preparations.
 
+`check_models` runs these checks over stacked arrays of N models with the
+same number of preparations and ontic points, one numpy reduction per
+quantity; `check_two_state_bound` and `check_three_state_bound` are its
+one-model case.
+
 No attempt is made to build a model reproducing full qubit statistics; the
 point is to verify the bound derivation on finite models where it is exact.
 """
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PriorDistribution
+from .qcore import PriorDistribution, check_priors
 
 ROW_SUM_TOL = 1e-12
 BOUND_TOL = 1e-12
@@ -39,13 +44,7 @@ class FiniteOnticModel:
         mu = np.array(self.distributions, dtype=float)
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ValueError(f"distributions must be a 2-D matrix, got shape {mu.shape}")
-        if not np.all(mu >= 0.0):
-            raise ValueError("epistemic distributions must be nonnegative")
-        row_sums = mu.sum(axis=1)
-        if not np.max(np.abs(row_sums - 1.0)) <= ROW_SUM_TOL:
-            raise ValueError(f"every row must sum to 1, got sums {row_sums}")
-        if len(self.priors) != mu.shape[0]:
-            raise ValueError("one prior per preparation required")
+        _check_rows(mu, len(self.priors))
         mu.flags.writeable = False
         object.__setattr__(self, "distributions", mu)
 
@@ -65,12 +64,38 @@ class FiniteOnticModel:
         return np.asarray(self.priors.probabilities)[:, None] * self.distributions
 
 
+def _check_rows(mu: np.ndarray, num_priors: int) -> None:
+    """Raise `ValueError` unless every model in `mu` (shape (..., k, L)) has
+    nonnegative rows summing to 1 within `ROW_SUM_TOL` and `num_priors` == k.
+    The one row check, for `FiniteOnticModel` and `check_models` alike."""
+    if not (mu >= 0.0).all():
+        raise ValueError("epistemic distributions must be nonnegative")
+    row_sums = mu.sum(axis=-1).reshape(-1, mu.shape[-2])
+    summed = np.abs(row_sums - 1.0) <= ROW_SUM_TOL
+    if not summed.all():
+        bad = row_sums[summed.all(axis=1).argmin()]
+        raise ValueError(f"every row must sum to 1, got sums {bad}")
+    if num_priors != mu.shape[-2]:
+        raise ValueError("one prior per preparation required")
+
+
+def _success(joints: np.ndarray) -> np.ndarray:
+    """sum_l max_i of the joints (..., k, L): the guesser names, at each
+    ontic state, the preparation with the largest joint mass."""
+    return joints.max(axis=-2).sum(axis=-1)
+
+
+def _sum_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_l min(a(l), b(l)) over the last axis."""
+    return np.minimum(a, b).sum(axis=-1)
+
+
 def ontic_success(model: FiniteOnticModel) -> float:
     """Best-possible guessing success sum_l max_i p_i mu_i(l): at each ontic
     state the guesser names the preparation with the largest joint mass."""
     if model.num_preparations < 2:
         raise ValueError("need at least 2 preparations to discriminate")
-    return float(model.weighted_joints().max(axis=0).sum())
+    return float(_success(model.weighted_joints()))
 
 
 def min_overlap(model: FiniteOnticModel, i: int, j: int) -> float:
@@ -81,7 +106,7 @@ def min_overlap(model: FiniteOnticModel, i: int, j: int) -> float:
         raise ValueError(f"preparation index out of range for {n} preparations")
     if i == j:
         raise ValueError("overlap needs two distinct preparations")
-    return float(np.minimum(model.distributions[i], model.distributions[j]).sum())
+    return float(_sum_min(model.distributions[i], model.distributions[j]))
 
 
 @dataclass(frozen=True)
@@ -103,25 +128,86 @@ class ThreeStateBoundReport:
     decomposition_passed: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ModelChecks:
+    """`check_models` results, one entry per model along the first axis.
+
+    `overlaps[:, 0]` is overlap(1, 2) and, for three preparations,
+    `overlaps[:, 1]` is overlap(1, 3).  The decomposition fields are None
+    for two preparations.
+    """
+
+    success: np.ndarray
+    overlaps: np.ndarray
+    bound: np.ndarray
+    passed: np.ndarray
+    decomposition_error: np.ndarray | None = None
+    decomposition_passed: np.ndarray | None = None
+
+
+def check_models(distributions: np.ndarray, priors: np.ndarray) -> ModelChecks:
+    """Check N finite models at once: `distributions` of shape (N, k, L) and
+    `priors` of shape (N, k), for k = 2 or 3 preparations.
+
+    Every model is validated as `FiniteOnticModel` and `PriorDistribution`
+    validate one, with the same messages.  Then, per model:
+    success <= 1 - sum_j min(p_1, p_j) * overlap(1, j) over j = 2..k, and
+    for k = 3 the max/min decomposition identity (see
+    `check_three_state_bound`).  The one-model checks run the same
+    arithmetic with N = 1, so every value equals theirs bit for bit.
+    """
+    mu = np.asarray(distributions, dtype=float)
+    p = np.asarray(priors, dtype=float)
+    if mu.ndim != 3 or p.ndim != 2 or mu.shape[0] != p.shape[0] or mu.shape[2] < 1:
+        raise ValueError(
+            f"need distributions (N, k, L) and priors (N, k), got shapes {mu.shape} and {p.shape}"
+        )
+    if mu.shape[1] not in (2, 3):
+        raise ValueError(f"finite-model checks need 2 or 3 preparations, got {mu.shape[1]}")
+    check_priors(p)
+    _check_rows(mu, p.shape[1])
+    return _bound_checks(mu, p)
+
+
+def _bound_checks(mu: np.ndarray, p: np.ndarray) -> ModelChecks:
+    """`check_models` on inputs already validated."""
+    joints = p[:, :, None] * mu
+    success = _success(joints)
+    overlaps = _sum_min(mu[:, :1], mu[:, 1:])
+    bound = 1.0
+    for j in range(1, mu.shape[1]):
+        bound = bound - np.minimum(p[:, 0], p[:, j]) * overlaps[:, j - 1]
+    passed = success <= bound + BOUND_TOL
+    if mu.shape[1] == 2:
+        return ModelChecks(success, overlaps, bound, passed)
+    w1, w2, w3 = joints[:, 0], joints[:, 1], joints[:, 2]
+    min_12 = np.minimum(w1, w2)
+    pairwise = min_12.sum(axis=-1) + _sum_min(w1, w3) + _sum_min(w2, w3)
+    triple = _sum_min(min_12, w3)
+    error = np.abs(success - (1.0 - pairwise + triple))
+    return ModelChecks(success, overlaps, bound, passed, error, error <= BOUND_TOL)
+
+
+def _check_one(model: FiniteOnticModel, k: int, name: str) -> ModelChecks:
+    if model.num_preparations != k:
+        raise ValueError(
+            f"{name} check needs exactly {k} preparations, got {model.num_preparations}"
+        )
+    return _bound_checks(model.distributions[None], np.array([model.priors.probabilities]))
+
+
 def check_two_state_bound(model: FiniteOnticModel) -> TwoStateBoundReport:
     """Check success <= 1 - min(p1, p2) * overlap for a 2-preparation model.
 
     The inequality is a theorem, so a failing report means an implementation
     bug rather than an interesting model.
     """
-    if model.num_preparations != 2:
-        raise ValueError(
-            f"two-state check needs exactly 2 preparations, got {model.num_preparations}"
-        )
-    success = ontic_success(model)
-    overlap = min_overlap(model, 0, 1)
-    p1, p2 = model.priors.probabilities
-    bound = 1.0 - min(p1, p2) * overlap
+    c = _check_one(model, 2, "two-state")
     return TwoStateBoundReport(
-        success=success,
-        overlap=overlap,
-        bound=bound,
-        passed=success <= bound + BOUND_TOL,
+        success=c.success.item(),
+        overlap=c.overlaps.item(),
+        bound=c.bound.item(),
+        passed=c.passed.item(),
     )
 
 
@@ -133,46 +219,34 @@ def check_three_state_bound(model: FiniteOnticModel) -> ThreeStateBoundReport:
     The identity re-expresses the success as 1 minus the pairwise minima of
     the weighted joints plus their triple minimum, and must hold exactly.
     """
-    if model.num_preparations != 3:
-        raise ValueError(
-            f"three-state check needs exactly 3 preparations, got {model.num_preparations}"
-        )
-    success = ontic_success(model)
-    overlap_12 = min_overlap(model, 0, 1)
-    overlap_13 = min_overlap(model, 0, 2)
-    p1, p2, p3 = model.priors.probabilities
-    bound = 1.0 - min(p1, p2) * overlap_12 - min(p1, p3) * overlap_13
-
-    w = model.weighted_joints()
-    pairwise = (
-        np.minimum(w[0], w[1]).sum()
-        + np.minimum(w[0], w[2]).sum()
-        + np.minimum(w[1], w[2]).sum()
-    )
-    triple = np.minimum(np.minimum(w[0], w[1]), w[2]).sum()
-    decomposition = 1.0 - float(pairwise) + float(triple)
-    decomposition_error = abs(success - decomposition)
-
+    c = _check_one(model, 3, "three-state")
     return ThreeStateBoundReport(
-        success=success,
-        overlap_12=overlap_12,
-        overlap_13=overlap_13,
-        bound=bound,
-        passed=success <= bound + BOUND_TOL,
-        decomposition_error=decomposition_error,
-        decomposition_passed=decomposition_error <= BOUND_TOL,
+        success=c.success.item(),
+        overlap_12=c.overlaps[0, 0].item(),
+        overlap_13=c.overlaps[0, 1].item(),
+        bound=c.bound.item(),
+        passed=c.passed.item(),
+        decomposition_error=c.decomposition_error.item(),
+        decomposition_passed=c.decomposition_passed.item(),
     )
+
+
+def _normalized(mu_draws: np.ndarray, prior_draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draws of shape (..., k, L) and (..., k) made into epistemic
+    rows and priors: each shifted off zero and scaled to sum to 1 along the
+    last axis.  Over leading axes, so a stack of draws normalizes at once."""
+    mu = mu_draws + 1e-12
+    mu /= mu.sum(axis=-1, keepdims=True)
+    priors = prior_draws + 1e-12
+    priors /= priors.sum(axis=-1, keepdims=True)
+    # renormalize in float so the 1e-12 prior-sum tolerance is met exactly
+    return mu, priors / priors.sum(axis=-1, keepdims=True)
 
 
 def random_model(
     num_preparations: int, num_lambdas: int, rng: np.random.Generator
 ) -> FiniteOnticModel:
     """Random valid model: rows and priors are normalized positive vectors."""
-    mu = rng.random((num_preparations, num_lambdas)) + 1e-12
-    mu /= mu.sum(axis=1, keepdims=True)
-    priors = rng.random(num_preparations) + 1e-12
-    priors /= priors.sum()
-    # renormalize in float so the 1e-12 row-sum tolerance is met exactly
-    return FiniteOnticModel(
-        distributions=mu, priors=PriorDistribution(tuple(priors / priors.sum()))
-    )
+    mu_draws = rng.random((num_preparations, num_lambdas))
+    mu, priors = _normalized(mu_draws, rng.random(num_preparations))
+    return FiniteOnticModel(distributions=mu, priors=PriorDistribution(tuple(priors)))

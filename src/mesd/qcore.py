@@ -158,11 +158,23 @@ class PriorDistribution:
 
     def __post_init__(self) -> None:
         probs = tuple(float(p) for p in self.probabilities)
-        if not all(0.0 <= p <= 1.0 for p in probs):
-            raise ValueError(f"prior entries must lie in [0, 1], got {probs}")
-        if not abs(sum(probs) - 1.0) <= 1e-12:
-            raise ValueError(f"priors must sum to 1, got sum {sum(probs)!r}")
+        check_priors(np.array([probs]))
         object.__setattr__(self, "probabilities", probs)
 
     def __len__(self) -> int:
         return len(self.probabilities)
+
+
+def check_priors(rows: np.ndarray) -> None:
+    """Raise `ValueError` for the first row of `rows` (shape (N, n)) that is
+    not a prior distribution: entries in [0, 1] that sum to 1 within 1e-12.
+    The one prior check, for `PriorDistribution` and the batched
+    finite-model checks alike."""
+    in_range = (rows >= 0.0) & (rows <= 1.0)
+    if not in_range.all():
+        bad = tuple(rows[in_range.all(axis=1).argmin()].tolist())
+        raise ValueError(f"prior entries must lie in [0, 1], got {bad}")
+    totals = rows.sum(axis=1)
+    summed = np.abs(totals - 1.0) <= 1e-12
+    if not summed.all():
+        raise ValueError(f"priors must sum to 1, got sum {totals[summed.argmin()].item()!r}")

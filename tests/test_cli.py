@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -400,15 +402,40 @@ class TestCmdOnticCheck:
         assert "--seed" in captured.err
         assert captured.out == ""
 
-    def test_failing_model_exits_4(self, capsys, monkeypatch):
-        def failing(model):
-            return ontic.TwoStateBoundReport(success=1.0, overlap=1.0, bound=0.5,
-                                             passed=False)
+    @staticmethod
+    def fail_checks(monkeypatch, preparations: int, verdict: str) -> None:
+        """Make `check_models` report `verdict` False for every model with
+        `preparations` preparations."""
+        real = ontic.check_models
 
-        monkeypatch.setattr(ontic, "check_two_state_bound", failing)
+        def failing(distributions, priors):
+            checks = real(distributions, priors)
+            if distributions.shape[1] != preparations:
+                return checks
+            return dataclasses.replace(checks, **{verdict: np.zeros_like(checks.passed)})
+
+        monkeypatch.setattr(ontic, "check_models", failing)
+
+    def test_failing_model_exits_4(self, capsys, monkeypatch):
+        self.fail_checks(monkeypatch, 2, "passed")
         code, out = run(capsys, "ontic-check", "--num-models", "3", "--seed", "7")
         assert code == 4
         assert "two-state bound: 0/3 pass" in out
+
+    def test_failing_three_state_model_exits_4(self, capsys, monkeypatch):
+        self.fail_checks(monkeypatch, 3, "passed")
+        code, out = run(capsys, "ontic-check", "--num-models", "3", "--seed", "7")
+        assert code == 4
+        assert "two-state bound: 3/3 pass" in out
+        assert "three-state bound: 0/3 pass" in out
+        assert "decomposition identity: 3/3 pass" in out
+
+    def test_failing_identity_exits_4(self, capsys, monkeypatch):
+        self.fail_checks(monkeypatch, 3, "decomposition_passed")
+        code, out = run(capsys, "ontic-check", "--num-models", "3", "--seed", "7")
+        assert code == 4
+        assert "three-state bound: 3/3 pass" in out
+        assert "decomposition identity: 0/3 pass" in out
 
 
 class TestEntryPoints:

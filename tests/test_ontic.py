@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mesd.cli import main
 from mesd.ontic import (
     FiniteOnticModel,
+    check_models,
     check_three_state_bound,
     check_two_state_bound,
     min_overlap,
@@ -175,6 +177,158 @@ class TestRandomModel:
         m = random_model(3, 16, rng)
         assert np.allclose(m.distributions.sum(axis=1), 1.0, atol=1e-12)
         assert abs(sum(m.priors.probabilities) - 1.0) < 1e-12
+
+    def test_draws_and_normalization_unchanged(self):
+        # the rows, then the priors, each shifted off zero and normalized;
+        # the priors twice, so they sum to 1 within the prior tolerance
+        rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        for size in range(2, 33):
+            for k in (2, 3):
+                mu = ref_rng.random((k, size)) + 1e-12
+                mu /= mu.sum(axis=1, keepdims=True)
+                priors = ref_rng.random(k) + 1e-12
+                priors /= priors.sum()
+                expected = model(mu, priors / priors.sum())
+                assert random_model(k, size, rng) == expected
+
+
+def reference_two(m: FiniteOnticModel) -> tuple:
+    """The one-model two-state check written out with scalar arithmetic."""
+    w = np.asarray(m.priors.probabilities)[:, None] * m.distributions
+    success = float(w.max(axis=0).sum())
+    overlap = float(np.minimum(m.distributions[0], m.distributions[1]).sum())
+    p1, p2 = m.priors.probabilities
+    bound = 1.0 - min(p1, p2) * overlap
+    return success, overlap, bound, success <= bound + 1e-12
+
+
+def reference_three(m: FiniteOnticModel) -> tuple:
+    """The one-model three-state check written out with scalar arithmetic."""
+    mu = m.distributions
+    w = np.asarray(m.priors.probabilities)[:, None] * mu
+    success = float(w.max(axis=0).sum())
+    overlap_12 = float(np.minimum(mu[0], mu[1]).sum())
+    overlap_13 = float(np.minimum(mu[0], mu[2]).sum())
+    p1, p2, p3 = m.priors.probabilities
+    bound = 1.0 - min(p1, p2) * overlap_12 - min(p1, p3) * overlap_13
+    pairwise = (np.minimum(w[0], w[1]).sum() + np.minimum(w[0], w[2]).sum()
+                + np.minimum(w[1], w[2]).sum())
+    triple = np.minimum(np.minimum(w[0], w[1]), w[2]).sum()
+    error = abs(success - (1.0 - float(pairwise) + float(triple)))
+    return (success, overlap_12, overlap_13, bound, success <= bound + 1e-12,
+            error, error <= 1e-12)
+
+
+def stacked(models: list[FiniteOnticModel]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([m.distributions for m in models]),
+            np.array([m.priors.probabilities for m in models]))
+
+
+class TestCheckModels:
+    def test_two_state_batch_equals_one_model_checks(self):
+        rng = np.random.default_rng(51)
+        for size in range(2, 33):
+            models = [random_model(2, size, rng) for _ in range(5)]
+            checks = check_models(*stacked(models))
+            assert checks.decomposition_error is None
+            for n, m in enumerate(models):
+                r = check_two_state_bound(m)
+                batch = (checks.success[n], checks.overlaps[n, 0], checks.bound[n],
+                         checks.passed[n])
+                assert batch == (r.success, r.overlap, r.bound, r.passed) == reference_two(m)
+
+    def test_three_state_batch_equals_one_model_checks(self):
+        rng = np.random.default_rng(52)
+        for size in range(2, 33):
+            models = [random_model(3, size, rng) for _ in range(5)]
+            checks = check_models(*stacked(models))
+            for n, m in enumerate(models):
+                r = check_three_state_bound(m)
+                batch = (checks.success[n], checks.overlaps[n, 0], checks.overlaps[n, 1],
+                         checks.bound[n], checks.passed[n], checks.decomposition_error[n],
+                         checks.decomposition_passed[n])
+                one = (r.success, r.overlap_12, r.overlap_13, r.bound, r.passed,
+                       r.decomposition_error, r.decomposition_passed)
+                assert batch == one == reference_three(m)
+
+    def test_hand_built_models(self):
+        mu = np.array([[[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]])
+        checks = check_models(mu, np.array([[0.5, 0.5], [0.2, 0.8]]))
+        assert checks.success.tolist() == [0.75, 1.0]
+        assert checks.overlaps.tolist() == [[0.5], [0.0]]
+        assert checks.bound.tolist() == [0.75, 1.0]
+        assert checks.passed.tolist() == [True, True]
+
+    @pytest.mark.parametrize(
+        "rows, priors",
+        [
+            ([[1.1, -0.1], [0.5, 0.5]], [0.4, 0.6]),
+            ([[0.5, 0.4], [0.5, 0.5]], [0.4, 0.6]),
+            ([[0.25, 0.75], [0.5, 0.5]], [0.4, 0.5]),
+            ([[0.25, 0.75], [0.5, 0.5]], [-0.1, 1.1]),
+            ([[np.nan, 1.0], [0.5, 0.5]], [0.5, 0.5]),
+        ],
+        ids=["negative-entry", "row-sum", "prior-sum", "prior-range", "nan"],
+    )
+    def test_invalid_model_raises_the_model_message(self, rows, priors):
+        with pytest.raises(ValueError) as one:
+            model(rows, priors)
+        good_rows, good_priors = [[0.25, 0.75], [0.5, 0.5]], [0.4, 0.6]
+        with pytest.raises(ValueError) as batch:
+            check_models(np.array([good_rows, rows, good_rows]),
+                         np.array([good_priors, priors, good_priors]))
+        assert str(batch.value) == str(one.value)
+
+    def test_prior_count_mismatch_raises_the_model_message(self):
+        rows, priors = [[0.25, 0.75], [0.5, 0.5]], [0.2, 0.3, 0.5]
+        with pytest.raises(ValueError) as one:
+            model(rows, priors)
+        with pytest.raises(ValueError) as batch:
+            check_models(np.array([rows, rows]), np.array([priors, priors]))
+        assert str(batch.value) == str(one.value) == "one prior per preparation required"
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_preparation_count_outside_two_or_three(self, k):
+        with pytest.raises(ValueError, match=f"need 2 or 3 preparations, got {k}"):
+            check_models(np.full((2, k, 3), 1.0 / 3.0), np.full((2, k), 1.0 / k))
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 3), (1, 2)), ((1, 2, 3), (2, 2)), ((1, 2, 0), (1, 2))],
+        ids=["flat", "count", "empty-space"],
+    )
+    def test_shapes_must_stack(self, shapes):
+        mu_shape, prior_shape = shapes
+        with pytest.raises(ValueError, match="need distributions"):
+            check_models(np.full(mu_shape, 0.5), np.full(prior_shape, 0.5))
+
+
+def reference_ontic_check(num_models: int, seed: int) -> str:
+    """`mesd ontic-check` stdout, built one model at a time."""
+    rng = np.random.default_rng(seed)
+    lines, two, three, identity = [], 0, 0, 0
+    for _ in range(num_models):
+        size = int(rng.integers(2, 33))
+        r2 = check_two_state_bound(random_model(2, size, rng))
+        r3 = check_three_state_bound(random_model(3, size, rng))
+        two += r2.passed
+        three += r3.passed
+        identity += r3.decomposition_passed
+        if num_models == 1:
+            lines.append(f"two-state: success={r2.success:.9g} overlap={r2.overlap:.9g} "
+                         f"bound={r2.bound:.9g} passed={r2.passed}")
+            lines.append(f"three-state: success={r3.success:.9g} bound={r3.bound:.9g} "
+                         f"passed={r3.passed} "
+                         f"decomposition_error={r3.decomposition_error:.9g}")
+    lines.append(f"two-state bound: {two}/{num_models} pass")
+    lines.append(f"three-state bound: {three}/{num_models} pass")
+    lines.append(f"decomposition identity: {identity}/{num_models} pass")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("num_models, seed", [(1, 0), (1, 1), (100, 7), (2500, 3)])
+def test_ontic_check_prints_the_one_model_loop(capsys, num_models, seed):
+    code = main(["ontic-check", "--num-models", str(num_models), "--seed", str(seed)])
+    assert (code, capsys.readouterr().out) == (0, reference_ontic_check(num_models, seed))
 
 
 @pytest.mark.parametrize(
