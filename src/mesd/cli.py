@@ -12,7 +12,9 @@ Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
 failed: oracle difference above `--tol`, or an ontic-check model failing a
 bound or the identity.  Output is deterministic: identical configuration
 gives byte-identical files.  `map` computes and writes theta-row slices of
-at most 256 cells, so its memory depends on neither axis of the grid.
+at most 256 cells, so its memory depends on neither axis of the grid.  Both
+of its formats render each slice with one `%`-template per cell: a CSV line,
+or a JSON object laid out as `json.dumps(..., indent=2)` would place it.
 `ontic-check` draws and checks its models in chunks of at most 1024, one
 `ontic.check_models` call per ontic-space size in a chunk, so its memory
 does not depend on `--num-models`.
@@ -136,46 +138,73 @@ def cmd_three(args: argparse.Namespace) -> int:
     return _emit(_render_record(record, args.format), args.out)
 
 
+def _csv_numbers(column: np.ndarray) -> list[float]:
+    """The floats of `column` for the CSV cell's `%.9g` slots; `+ 0.0` is
+    `_fmt`'s -0.0 canonicalization."""
+    return (column + 0.0).tolist()
+
+
+def _json_numbers(column: np.ndarray) -> list[str]:
+    """`json.dumps(_fmt_num(v))` for each finite v of `column`: the shortest
+    round-trip of its 9-significant-digit value, so 1 reads `1.0`."""
+    return [repr(float("%.9g" % v)) for v in (column + 0.0).tolist()]
+
+
+def _cell_slots(number: str) -> list[str]:
+    """The `%` slots of a map cell in `_MAP_FIELDS` order.  theta's is live and
+    the rest are escaped, so one `%` per theta-row fills theta in and leaves
+    that row's cell template."""
+    return [number, *["%" + number] * 4, "%%s"]
+
+
+# Per map format: the cell template, the renderer of a number column for its
+# number slots, and the separator between cells.  JSON cells are objects at
+# depth 2 of the payload, as `json.dumps(..., indent=2)` lays them out.
+_MAP_CELLS = {
+    "csv": (",".join(_cell_slots("%.9g")) + "\n", _csv_numbers, ""),
+    "json": ("\n    {" + ",".join(f"\n      {json.dumps(k)}: {slot}"
+                                  for k, slot in zip(_MAP_FIELDS, _cell_slots("%s")))
+             + "\n    }", _json_numbers, ","),
+}
+
+
+def _map_frame(theta_steps: int, prior_steps: int, fmt: str) -> tuple[str, str]:
+    """The map file's text before and after its cells: the CSV header, or the
+    JSON payload around the cells list."""
+    if fmt == "csv":
+        return ",".join(_MAP_FIELDS) + "\n", ""
+    config = {
+        "command": "map",
+        "theta_steps": theta_steps,
+        "prior_steps": prior_steps,
+        "format": fmt,
+    }
+    head, tail = json.dumps({"config": config, "cells": []}, indent=2).split("[]")
+    return head + "[", "\n  ]" + tail + "\n"
+
+
 def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     """The map file in pieces of at most `_MAP_CHUNK` cells, theta-major,
-    plus the CSV header or the JSON text around the cells list.  Each piece
-    is one slice of a theta-row, computed by `analytic.advantage_three_row`."""
-    if fmt == "csv":
-        yield ",".join(_MAP_FIELDS) + "\n"
-    else:
-        config = {
-            "command": "map",
-            "theta_steps": theta_steps,
-            "prior_steps": prior_steps,
-            "format": fmt,
-        }
-        head, tail = json.dumps({"config": config, "cells": []}, indent=2).split("[]")
-        yield head + "["
-    separator = ""
+    between the text of `_map_frame`.  Each piece is one slice of a theta-row,
+    computed by `analytic.advantage_three_row` and rendered with one
+    `%`-template per cell."""
+    head, tail = _map_frame(theta_steps, prior_steps, fmt)
+    cell, numbers, separator = _MAP_CELLS[fmt]
+    yield head
+    lead = ""
     for i in range(theta_steps):
         theta = (math.pi / 2.0) * i / (theta_steps - 1)
-        # `%.9g` renders as `_fmt` does; `+ 0.0` is its -0.0 canonicalization.
-        template = _fmt(theta) + ",%.9g,%.9g,%.9g,%.9g,%s\n"
+        template = cell % numbers(np.array([theta]))[0]
         for start in range(0, prior_steps, _MAP_CHUNK):
             j = np.arange(start, min(start + _MAP_CHUNK, prior_steps))
             prior = 0.5 * j / (prior_steps - 1)
             columns = (prior, *analytic.advantage_three_row(theta, prior))
-            advantage = (columns[3] > analytic.ADVANTAGE_TOL).tolist()
-            if fmt == "csv":
-                floats = [(c + 0.0).tolist() for c in columns]
-                flags = [("false", "true")[a] for a in advantage]
-                yield "".join(map(template.__mod__, zip(*floats, flags)))
-            else:
-                thetas = np.full_like(prior, theta)
-                cells = zip(*(c.tolist() for c in (thetas, *columns)), advantage)
-                # The cells sit one level deeper in the payload than in a bare
-                # list: drop the list's brackets and indent every line once more.
-                text = json.dumps([_json_obj(dict(zip(_MAP_FIELDS, c))) for c in cells],
-                                  indent=2)[1:-2]
-                yield separator + text.replace("\n", "\n  ")
-                separator = ","
-    if fmt == "json":
-        yield "\n  ]" + tail + "\n"
+            flags = [("false", "true")[a]
+                     for a in (columns[3] > analytic.ADVANTAGE_TOL).tolist()]
+            yield lead + separator.join(map(template.__mod__,
+                                            zip(*map(numbers, columns), flags)))
+            lead = separator
+    yield tail
 
 
 def cmd_map(args: argparse.Namespace) -> int:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesd import ontic
-from mesd.cli import main
+from mesd import analytic, ontic
+from mesd.analytic import MirrorEnsemble
+from mesd.cli import _fmt_num, _json_numbers, _json_obj, main
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
 ANGLE_FLAGS = [("three", "--theta"), ("oracle-three", "--theta"), ("oracle-two", "--sep")]
@@ -173,17 +174,16 @@ class TestCmdMap:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
-    def test_byte_identical_with_parallelism(self, tmp_path, capsys, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        monkeypatch.setenv("MESD_THREADS", "1")
-        assert main(["map", "--theta-steps", "11", "--prior-steps", "9",
-                     "--out", str(serial)]) == 0
-        monkeypatch.setenv("MESD_THREADS", "4")
-        assert main(["map", "--theta-steps", "11", "--prior-steps", "9",
-                     "--out", str(threaded)]) == 0
-        capsys.readouterr()
-        assert serial.read_bytes() == threaded.read_bytes()
+    def test_byte_identical_runs_in_each_format(self, tmp_path, capsys):
+        for fmt in ("csv", "json"):
+            first = tmp_path / f"first.{fmt}"
+            second = tmp_path / f"second.{fmt}"
+            assert main(["map", "--theta-steps", "11", "--prior-steps", "9",
+                         "--out", str(first), "--format", fmt]) == 0
+            assert main(["map", "--theta-steps", "11", "--prior-steps", "9",
+                         "--out", str(second), "--format", fmt]) == 0
+            capsys.readouterr()
+            assert first.read_bytes() == second.read_bytes()
 
     def test_sign_change_along_trine_row(self, tmp_path, capsys):
         # at theta = pi/3 the gap flips sign between priors 0.46 and 0.47
@@ -257,6 +257,39 @@ class TestCmdMap:
                      "--out", str(out), "--format", fmt]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("theta_steps,prior_steps", [(2, 2), (3, 257), (5, 600), (61, 41)])
+    def test_json_matches_reference_renderer(self, tmp_path, capsys, theta_steps, prior_steps):
+        # The JSON map as defined: scalar `advantage_three` cells, each through
+        # `_json_obj`, in one `json.dumps(..., indent=2)` of the payload.
+        cells = []
+        for i in range(theta_steps):
+            theta = (math.pi / 2.0) * i / (theta_steps - 1)
+            for j in range(prior_steps):
+                prior = 0.5 * j / (prior_steps - 1)
+                pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
+                cells.append(_json_obj({
+                    "theta": theta, "prior": prior, "s_quantum": pair.quantum,
+                    "s_nc_bound": pair.noncontextual, "gap": pair.gap,
+                    "advantage": pair.advantage,
+                }))
+        config = {"command": "map", "theta_steps": theta_steps,
+                  "prior_steps": prior_steps, "format": "json"}
+        expected = json.dumps({"config": config, "cells": cells}, indent=2) + "\n"
+        out = tmp_path / "grid.json"
+        assert main(["map", "--theta-steps", str(theta_steps),
+                     "--prior-steps", str(prior_steps),
+                     "--out", str(out), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 0.0, 1.0, 0.99999999996,
+        1e-5, 1.5e-05, 1.11022302e-16, 5e-324, 2.2250738585072014e-308,
+        123456789.0, 1e9, 1234567890.5, 1e16, 1e22,
+    ])
+    def test_json_number_renderer_matches_json_dumps(self, value):
+        assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_does_not_grow_with_prior_steps(self, tmp_path, fmt):
