@@ -13,6 +13,13 @@ Holevo / Yuen-Kennedy-Lax dual, so the verdict is an interval: the success
 of the measurement found and a proven upper bound on the success of every
 measurement.  The effects that the dual certifies are the `Povm` the
 verdict reports and scores.
+
+`_certificate` evaluates that dual for any complete POVM in numpy.  The
+fixed point runs each step in scalar float arithmetic on the real kets, for
+any number of them: the 2x2 matrix S it inverts comes from its three
+entries, its determinant by Cauchy-Binet, S^-1/2 from the adjugate, and the
+dual's largest eigenvalues from the 2x2 closed form.  A step counts only
+when its effects sum to the identity within `COMPLETENESS_TOL`.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import numpy as np
 
 from .analytic import MirrorEnsemble
 from .qcore import (
+    COMPLETENESS_TOL,
     TWO_PI,
     Povm,
     PriorDistribution,
@@ -145,51 +153,104 @@ def _fixed_point(
 ) -> tuple[np.ndarray, float, int]:
     """Best effects, smallest dual bound and number of iterates evaluated of
     the Jezek-Rehacek-Fiurasek iteration E_i <- G^-1 A_i G^-1 from E_i = I/n,
-    with A_i = p_i rho_i E_i p_i rho_i and G = (sum_i A_i)^(1/2).  Every
-    iterate E_i = a_i G^-1 |psi_i><psi_i| G^-1 is complete and rank-1, so the
-    iteration runs on the weights a: the start is a_i = p_i^2 (their scale
-    cancels) and a step multiplies a_i by (p_i <psi_i|G^-1|psi_i>)^2.  Plain
-    steps crawl where an optimal effect vanishes, at and above the threshold
-    prior, so that factor is raised to omega, which doubles while the
-    success does not fall and returns to 1 otherwise.  Steps that end with
-    a gap above _GAP_TOL give way to the one-ray measurement below if its
-    own gap is within _GAP_TOL."""
-    weights, ratio = (priors / priors.max()) ** 2, np.ones(len(priors))
+    with A_i = p_i rho_i E_i p_i rho_i and G = (sum_i A_i)^(1/2), for any n
+    real kets.  Every iterate E_i = a_i G^-1 |psi_i><psi_i| G^-1 is complete
+    and rank-1, so the iteration runs on the weights a: the start is
+    a_i = p_i^2 (their scale cancels) and a step multiplies a_i by
+    (p_i <psi_i|G^-1|psi_i>)^2.  Plain steps crawl where an optimal effect
+    vanishes, at and above the threshold prior, so that factor is raised to
+    omega, which doubles while the success does not fall and returns to 1
+    otherwise.
+
+    A step is scalar float arithmetic on the real kets k_i.  S = G^2 =
+    sum_i a_i k_i k_i^T is three numbers (s_xx, s_xy, s_yy), and
+    det S = sum_{i<j} a_i a_j (k_i x k_j)^2 by Cauchy-Binet, a sum of
+    nonnegative terms with no cancellation.  With r = sqrt(det S),
+    G^-1 = S^-1/2 = (adj S + r I) / (r sqrt(tr S + 2r)), and the effects are
+    a_i g_i g_i^T with rows g_i = G^-1 k_i.  A step counts only if
+    sum_i a_i g_i g_i^T is within COMPLETENESS_TOL of I: a singular or
+    ill-conditioned S gives an inexact G^-1, whose effects are no
+    measurement and may beat the dual bound, so such a step is skipped with
+    omega back at 1.  Its certificate is `_certificate`'s in closed form:
+    Tr Gamma = sum_i p_i a_i (k_i.g_i)^2 and t = max_i of
+    lambda_max(p_i rho_i - Gamma)^+, where lambda_max of a symmetric 2x2
+    matrix m is (m_xx + m_yy)/2 + hypot((m_xx - m_yy)/2, m_xy).  The
+    (n, 2, 2) effects are built once, from the best step.  Steps that end
+    with a gap above _GAP_TOL give way to the one-ray measurement below if
+    its own gap is within _GAP_TOL, or if no step counted."""
+    weights = (priors / priors.max()) ** 2
     lam, vecs = np.linalg.eigh(np.einsum("i,ia,ib->ab", weights, kets, kets))
     # The projector on the top eigenvector r for the outcome with the largest
     # p_i <psi_i|r>^2, plus the complement: optimal when every weighted state
-    # lies on the ray r (G singular), and often certified when the states
-    # almost do, where G^-1 is too inexact for the iteration to converge.
+    # lies on the ray r (S singular), and often certified when the states
+    # almost do, where S^-1/2 is too inexact for the iteration to converge.
     k = int(np.argmax(priors * (kets @ vecs[:, -1]) ** 2))
     ray = np.zeros((len(kets), 2, 2))
     ray[k] = np.outer(vecs[:, -1], vecs[:, -1])
     ray[(k + 1) % len(kets)] = np.eye(2) - ray[k]
     if not lam[0] > _TINY * lam[1]:
         return ray, _certificate(kets, priors, ray)[1], 1
-    omega, value, primal, dual = 1.0, -np.inf, -np.inf, np.inf
+    xs, ys = kets.T.tolist()
+    states = list(zip(priors.tolist(), xs, ys))
+    crosses = [(i, j, (xs[i] * ys[j] - ys[i] * xs[j]) ** 2)
+               for i in range(len(xs)) for j in range(i + 1, len(xs))]
+    weights, ratio, best = weights.tolist(), [1.0] * len(states), None
+    omega, value, primal, dual = 1.0, -math.inf, -math.inf, math.inf
     for evaluations in range(1, iters + 2):
-        trial = weights * (ratio / ratio.max()) ** omega
-        lam, vecs = np.linalg.eigh(np.einsum("i,ia,ib->ab", trial, kets, kets))
-        if not lam[0] > _TINY * lam[1]:  # G singular, or G^-1 inexact in floats
+        top = max(ratio)
+        trial = [w * (q / top) ** omega for w, q in zip(weights, ratio)]
+        sxx = sxy = syy = 0.0
+        for a, (_, x, y) in zip(trial, states):
+            sxx, sxy, syy = sxx + a * x * x, sxy + a * x * y, syy + a * y * y
+        root = math.sqrt(sum(trial[i] * trial[j] * c for i, j, c in crosses))
+        scale = root * math.sqrt(sxx + syy + 2.0 * root)
+        if not scale > 0.0:  # S singular
             omega = 1.0
             continue
-        rows = kets @ ((vecs / np.sqrt(lam)) @ vecs.T)
-        effects = trial[:, None, None] * np.einsum("ia,ib->iab", rows, rows)
-        trial_value, bound = _certificate(kets, priors, effects)
-        dual = min(dual, bound)
+        uxx, uxy, uyy = (syy + root) / scale, -sxy / scale, (sxx + root) / scale
+        rows, overlaps = [], []
+        cxx = cxy = cyy = trial_value = gamma_xx = gamma_xy = gamma_yy = 0.0
+        for a, (p, x, y) in zip(trial, states):
+            u, v = uxx * x + uxy * y, uxy * x + uyy * y
+            o = x * u + y * v
+            c = p * a * o
+            rows.append((u, v))
+            overlaps.append(o)
+            cxx, cxy, cyy = cxx + a * u * u, cxy + a * u * v, cyy + a * v * v
+            trial_value += c * o
+            gamma_xx, gamma_xy, gamma_yy = (gamma_xx + c * x * u, gamma_xy + c * (x * v + y * u),
+                                            gamma_yy + c * y * v)
+        if not max(abs(cxx - 1.0), abs(cxy), abs(cyy - 1.0)) <= COMPLETENESS_TOL:
+            omega = 1.0  # S^-1/2 inexact in floats: the effects are no measurement
+            continue
+        gamma_xy *= 0.5
+        t = 0.0
+        for p, x, y in states:
+            mxx, myy = p * x * x - gamma_xx, p * y * y - gamma_yy
+            lam_max = 0.5 * (mxx + myy) + math.hypot(0.5 * (mxx - myy), p * x * y - gamma_xy)
+            if lam_max > t:
+                t = lam_max
+        dual = min(dual, trial_value + 2.0 * t)
         if trial_value > primal:
-            primal, best = trial_value, effects
+            primal, best = trial_value, (trial, rows)
         if trial_value >= value or omega == 1.0:
-            weights, value, omega = trial / trial.max(), trial_value, 2.0 * omega
-            ratio = (priors * np.einsum("ia,ia->i", kets, rows)) ** 2
+            top = max(trial)
+            weights, value, omega = [a / top for a in trial], trial_value, 2.0 * omega
+            ratio = [(p * o) ** 2 for (p, _, _), o in zip(states, overlaps)]
         else:
             omega = 1.0
         if dual - primal <= _GAP_TOL:
-            return best, dual, evaluations
-    ray_value, ray_bound = _certificate(kets, priors, ray)
-    if ray_bound - ray_value <= _GAP_TOL:
-        return ray, ray_bound, evaluations + 1
-    return best, dual, evaluations
+            break
+    else:
+        ray_value, ray_bound = _certificate(kets, priors, ray)
+        if best is None or ray_bound - ray_value <= _GAP_TOL:
+            return ray, ray_bound, evaluations + 1
+    trial, rows = best
+    rows = np.array(rows)
+    effects = np.array(trial)[:, None, None] * np.einsum("ia,ib->iab", rows, rows)
+    # `_certificate` may round the bound of these effects below the scalar
+    # one; the reported bound is never above the reported effects' own.
+    return effects, min(dual, _certificate(kets, priors, effects)[1]), evaluations
 
 
 def optimize_three(

@@ -335,3 +335,43 @@ def test_three_state_oracle_brackets_the_reference(theta, p):
     r = optimize_three(MirrorEnsemble(theta, p))
     assert r.success - 1e-12 <= reference_three(theta, p) <= r.dual_bound + 1e-12
     assert np.allclose(sum(e.matrix for e in r.povm.effects), np.eye(2), rtol=0, atol=1e-9)
+
+
+def test_certificate_holds_on_a_mirror_grid():
+    # test_reported_povm_is_the_certified_one on a 61 x 61 grid, edges included
+    uncertified = 0
+    for theta in np.linspace(0.0, HALF_PI, 61).tolist():
+        for p in np.linspace(0.0, 0.5, 61).tolist():
+            ensemble = MirrorEnsemble(theta, p)
+            r = optimize_three(ensemble)
+            kets = np.array([s.ket for s in ensemble.states()])
+            effects = np.array([e.matrix.real for e in r.povm.effects])
+            value, bound = oracle._certificate(
+                kets, np.array(ensemble.priors().probabilities), effects)
+            assert r.dual_bound - r.success <= 1e-9, (theta, p)
+            assert abs(r.success - quantum_three(ensemble)) <= 1e-12, (theta, p)
+            assert abs(value - r.success) <= 1e-15, (theta, p)
+            assert bound >= r.dual_bound, (theta, p)
+            uncertified += r.dual_bound - r.success > oracle._GAP_TOL
+    assert uncertified <= 8
+
+
+def asymmetric_triples():
+    """An ill-conditioned triple, then 3000 with angles uniform on [0, pi)
+    and Dirichlet(1, 1, 1) priors."""
+    yield ((2.001332399255296, 0.37708151718077787, 0.6288029319331891),
+           (0.018896048274615516, 0.9022067599914836, 0.07889719173390088))
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        yield rng.uniform(0.0, math.pi, 3), rng.dirichlet((1.0, 1.0, 1.0))
+
+
+def test_fixed_point_returns_a_measurement_on_asymmetric_triples():
+    # an ill-conditioned S passes for nonsingular while its S^-1/2 is
+    # inexact; the effects of such a step are no measurement and can beat
+    # their own dual bound, as on the first triple
+    for angles, priors in asymmetric_triples():
+        kets, priors = np.stack([np.cos(angles), np.sin(angles)], axis=1), np.asarray(priors)
+        effects, dual, _ = oracle._fixed_point(kets, priors, 200)
+        assert np.abs(effects.sum(axis=0) - np.eye(2)).max() <= 1e-9, (angles, priors)
+        assert dual >= oracle._certificate(kets, priors, effects)[0] - 1e-13, (angles, priors)
