@@ -14,12 +14,12 @@ of the measurement found and a proven upper bound on the success of every
 measurement.  The effects that the dual certifies are the `Povm` the
 verdict reports and scores.
 
-`_certificate` evaluates that dual for any complete POVM in numpy.  The
-fixed point runs each step in scalar float arithmetic on the real kets, for
-any number of them: the 2x2 matrix S it inverts comes from its three
-entries, its determinant by Cauchy-Binet, S^-1/2 from the adjugate, and the
-dual's largest eigenvalues from the 2x2 closed form.  A step counts only
-when its effects sum to the identity within `COMPLETENESS_TOL`.
+`_certificate` evaluates that dual for any complete POVM in numpy; the
+fixed point evaluates it per step in scalar floats.  A step counts only
+when the 2x2 matrix S it inverts passes one scalar singularity test and its
+effects sum to I within `COMPLETENESS_TOL`; a failed step at omega = 1 ends
+the iteration.  An uncertified end may fall back to the states' dominant
+ray, one more evaluation: a singular start (theta = 0 or p = 0) reports 2.
 """
 
 from __future__ import annotations
@@ -45,16 +45,17 @@ from .qcore import (
 _MAX_GRID_N = 2**20
 # The three-state iteration stops once dual bound - success is this small.
 _GAP_TOL = 1e-13
-_TINY = float(np.finfo(float).tiny)
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """The best measurement found as a POVM (effect i guesses state i), its
     Born-rule success, the candidates evaluated (grid angles plus the fitted
-    peak for optimize_two, fixed-point iterates for optimize_three), and
-    dual_bound, an upper bound on the success of every measurement, proven
-    up to float rounding: the optimum lies in [success, dual_bound]."""
+    peak for optimize_two, fixed-point iterates plus any fallback ray for
+    optimize_three), and dual_bound, an upper bound on the success of every
+    measurement, proven up to float rounding: the optimum lies in
+    [success, dual_bound]."""
 
     success: float
     povm: Povm
@@ -168,33 +169,24 @@ def _fixed_point(
     nonnegative terms with no cancellation.  With r = sqrt(det S),
     G^-1 = S^-1/2 = (adj S + r I) / (r sqrt(tr S + 2r)), and the effects are
     a_i g_i g_i^T with rows g_i = G^-1 k_i.  A step counts only if
-    sum_i a_i g_i g_i^T is within COMPLETENESS_TOL of I: a singular or
-    ill-conditioned S gives an inexact G^-1, whose effects are no
-    measurement and may beat the dual bound, so such a step is skipped with
-    omega back at 1.  Its certificate is `_certificate`'s in closed form:
-    Tr Gamma = sum_i p_i a_i (k_i.g_i)^2 and t = max_i of
-    lambda_max(p_i rho_i - Gamma)^+, where lambda_max of a symmetric 2x2
-    matrix m is (m_xx + m_yy)/2 + hypot((m_xx - m_yy)/2, m_xy).  The
-    (n, 2, 2) effects are built once, from the best step.  Steps that end
-    with a gap above _GAP_TOL give way to the one-ray measurement below if
-    its own gap is within _GAP_TOL, or if no step counted."""
-    weights = (priors / priors.max()) ** 2
-    lam, vecs = np.linalg.eigh(np.einsum("i,ia,ib->ab", weights, kets, kets))
-    # The projector on the top eigenvector r for the outcome with the largest
-    # p_i <psi_i|r>^2, plus the complement: optimal when every weighted state
-    # lies on the ray r (S singular), and often certified when the states
-    # almost do, where S^-1/2 is too inexact for the iteration to converge.
-    k = int(np.argmax(priors * (kets @ vecs[:, -1]) ** 2))
-    ray = np.zeros((len(kets), 2, 2))
-    ray[k] = np.outer(vecs[:, -1], vecs[:, -1])
-    ray[(k + 1) % len(kets)] = np.eye(2) - ray[k]
-    if not lam[0] > _TINY * lam[1]:
-        return ray, _certificate(kets, priors, ray)[1], 1
+    r > sqrt(tiny) tr S, i.e. lambda_min > tiny lambda_max (else G^-1 = 0),
+    and sum_i a_i g_i g_i^T is within COMPLETENESS_TOL of I: an inexact G^-1
+    gives effects that are no measurement and may beat the dual bound.  A
+    failed step sets omega to 1, or ends the loop if omega is 1, since every
+    later trial would repeat it.  A counted step's certificate is
+    `_certificate`'s in closed form: Tr Gamma = sum_i p_i a_i (k_i.g_i)^2 and
+    t = max_i lambda_max(p_i rho_i - Gamma)^+, where lambda_max of a symmetric
+    2x2 m is (m_xx + m_yy)/2 + hypot((m_xx - m_yy)/2, m_xy).  The (n, 2, 2)
+    effects are built once, from the best step.  An end with a gap above
+    _GAP_TOL scores the one-ray measurement below, one more evaluation (2 in
+    all at theta = 0 or p = 0), and returns it if no step counted or if its
+    own gap is within _GAP_TOL."""
+    start = (priors / priors.max()) ** 2
     xs, ys = kets.T.tolist()
     states = list(zip(priors.tolist(), xs, ys))
     crosses = [(i, j, (xs[i] * ys[j] - ys[i] * xs[j]) ** 2)
                for i in range(len(xs)) for j in range(i + 1, len(xs))]
-    weights, ratio, best = weights.tolist(), [1.0] * len(states), None
+    weights, ratio, best = start.tolist(), [1.0] * len(states), None
     omega, value, primal, dual = 1.0, -math.inf, -math.inf, math.inf
     for evaluations in range(1, iters + 2):
         top = max(ratio)
@@ -203,10 +195,8 @@ def _fixed_point(
         for a, (_, x, y) in zip(trial, states):
             sxx, sxy, syy = sxx + a * x * x, sxy + a * x * y, syy + a * y * y
         root = math.sqrt(sum(trial[i] * trial[j] * c for i, j, c in crosses))
-        scale = root * math.sqrt(sxx + syy + 2.0 * root)
-        if not scale > 0.0:  # S singular
-            omega = 1.0
-            continue
+        scale = (root * math.sqrt(sxx + syy + 2.0 * root) if root > _SQRT_TINY * (sxx + syy)
+                 else math.inf)  # S singular: G^-1 = 0, and the completeness test fails
         uxx, uxy, uyy = (syy + root) / scale, -sxy / scale, (sxx + root) / scale
         rows, overlaps = [], []
         cxx = cxy = cyy = trial_value = gamma_xx = gamma_xy = gamma_yy = 0.0
@@ -221,7 +211,9 @@ def _fixed_point(
             gamma_xx, gamma_xy, gamma_yy = (gamma_xx + c * x * u, gamma_xy + c * (x * v + y * u),
                                             gamma_yy + c * y * v)
         if not max(abs(cxx - 1.0), abs(cxy), abs(cyy - 1.0)) <= COMPLETENESS_TOL:
-            omega = 1.0  # S^-1/2 inexact in floats: the effects are no measurement
+            if omega == 1.0:  # S singular or S^-1/2 inexact, and so for every later trial
+                break
+            omega = 1.0
             continue
         gamma_xy *= 0.5
         t = 0.0
@@ -241,7 +233,16 @@ def _fixed_point(
             omega = 1.0
         if dual - primal <= _GAP_TOL:
             break
-    else:
+    if dual - primal > _GAP_TOL:
+        # The projector on the top eigenvector r of the first S for the outcome
+        # with the largest p_i <psi_i|r>^2, plus the complement: optimal when
+        # every weighted state lies on r (S singular), and often certified when
+        # they almost do, where S^-1/2 is too inexact for the iteration.
+        r = np.linalg.eigh(np.einsum("i,ia,ib->ab", start, kets, kets))[1][:, -1]
+        k = int(np.argmax(priors * (kets @ r) ** 2))
+        ray = np.zeros((len(kets), 2, 2))
+        ray[k] = np.outer(r, r)
+        ray[(k + 1) % len(kets)] = np.eye(2) - ray[k]
         ray_value, ray_bound = _certificate(kets, priors, ray)
         if best is None or ray_bound - ray_value <= _GAP_TOL:
             return ray, ray_bound, evaluations + 1
@@ -262,10 +263,10 @@ def optimize_three(
     """Maximize three-state success over all measurements, with a certificate.
 
     Runs `_fixed_point` for at most `refine_iters` steps and returns the
-    best POVM visited, its Born-rule success, the smallest dual bound
-    visited and the number of iterates evaluated.  `grid_n` (>= 16) is
-    validated and accepted only; `seed` is accepted and ignored.  There is
-    no grid and no random start, so every seed gives the same result.
+    best POVM visited or its fallback ray, its Born-rule success, the
+    smallest dual bound and the number of candidates evaluated.  `grid_n`
+    (>= 16) is validated and accepted only; `seed` is accepted and ignored.
+    There is no grid and no random start, so every seed gives the same result.
     """
     if grid_n < 16 or refine_iters < 0:
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")

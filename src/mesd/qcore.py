@@ -107,13 +107,14 @@ class Effect:
 def born_probability(state: PureState, effect: Effect) -> float:
     """Born-rule outcome probability Tr[|psi><psi| E] = <psi|E|psi>.
 
-    The raw trace must already be a probability up to 1e-12 of float noise;
-    anything farther out means the effect is not part of a measurement and
-    is rejected.  The returned value is clamped into [0, 1].
+    The raw trace may leave [0, 1] only by float noise: PSD_TOL below, and
+    2 * COMPLETENESS_TOL + PSD_TOL above, which an effect of a POVM that `Povm`
+    accepts can reach (its sum may miss I by 2 * COMPLETENESS_TOL in operator
+    norm).  Anything farther out is rejected; the value is clamped into [0, 1].
     """
     k = state.ket.astype(complex)
     value = float(np.real(k.conj() @ effect.matrix @ k))
-    if not -1e-12 <= value <= 1.0 + 1e-12:
+    if not -PSD_TOL <= value <= 1.0 + 2.0 * COMPLETENESS_TOL + PSD_TOL:
         raise ValueError(
             f"effect gives Born weight {value!r} outside [0, 1]: invalid effect"
         )

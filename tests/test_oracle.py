@@ -93,6 +93,18 @@ class TestSuccessTwo:
         with pytest.raises(ValueError):
             two_state_success(make_state(0.0), make_state(1.0), 1.2, 0.0)
 
+    @pytest.mark.parametrize("effects,angle", [
+        ([np.diag([1.0 + 5e-10, 0.0]), np.diag([0.0, 1.0])], 0.0),
+        ([(1.0 + 1.98e-9) * make_state(math.pi / 4).projector(),
+          make_state(3 * math.pi / 4).projector()], math.pi / 4),
+    ], ids=["diagonal", "rotated"])
+    def test_every_accepted_povm_is_scored(self, effects, angle):
+        # completeness is checked entrywise, so an accepted POVM may miss I
+        # by 2 * COMPLETENESS_TOL in operator norm and a Born weight exceed 1
+        states = (make_state(angle), make_state(angle + HALF_PI))
+        povm = validate_povm(effects)
+        assert discrimination_success(states, PriorDistribution((1.0, 0.0)), povm) == 1.0
+
 
 class TestOptimizeTwo:
     def test_orthogonal(self):
@@ -291,13 +303,26 @@ def test_certificate_brackets_the_optimum(theta, p):
 
 
 @pytest.mark.parametrize("theta,p", [(0.0, 0.1), (0.0, 1 / 3), (0.0, 0.5), (0.3, 0.0),
-                                     (HALF_PI, 0.0)])
+                                     (HALF_PI, 0.0), (1.0, 4.686913769124442e-156)])
 def test_singular_points_give_complete_params(theta, p):
-    # every weighted state lies on one ray, so G in the fixed point is singular
+    # every weighted state lies on one ray, so G in the fixed point is
+    # singular; at a subnormal pair weight p^2 it is so in floats, where
+    # G^-1 would overflow to NaN effects
     r = optimize_three(MirrorEnsemble(theta, p))
     total = sum(e.matrix for e in r.povm.effects)
     assert np.allclose(total, np.eye(2), atol=1e-12)
     assert r.dual_bound == pytest.approx(r.success, abs=1e-12)
+
+
+@pytest.mark.parametrize("theta,p", [(1e-151, 0.1), (1e-147, 1e-6), (1e-146, 1e-6)])
+def test_rejected_step_ends_the_iteration(theta, p):
+    # a few steps in, S is singular in floats; once a step is rejected at
+    # omega = 1 every later trial repeats it, so the run must end there
+    # instead of spending its whole budget (202 evaluations)
+    r = optimize_three(MirrorEnsemble(theta, p))
+    assert np.allclose(sum(e.matrix for e in r.povm.effects), np.eye(2), atol=1e-12)
+    assert r.dual_bound - r.success <= 1e-12
+    assert r.evaluations <= 10
 
 
 def test_result_does_not_depend_on_seed_or_grid():
