@@ -106,11 +106,12 @@ class BoundPair:
 def helstrom_two(scenario: TwoStateScenario) -> float:
     """Optimal two-state success probability (1 + sqrt(1 - 4p(1-p)c)) / 2.
 
-    The radicand is nonnegative for every valid scenario since
-    4p(1-p) <= 1 and c <= 1.
+    The radicand is computed as (1 - 2p)^2 + 4p(1-p)(1-c), a sum of two
+    nonnegative terms: 1 - 2p and 1 - c are exact where they are small, so
+    nothing cancels near p = 1/2, c = 1.
     """
     p, c = scenario.prior_p, scenario.confusability_c
-    return 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * p * (1.0 - p) * c))
+    return 0.5 * (1.0 + math.sqrt((1.0 - 2.0 * p) ** 2 + 4.0 * p * (1.0 - p) * (1.0 - c)))
 
 
 def nc_two_bound(scenario: TwoStateScenario) -> float:
@@ -189,12 +190,14 @@ def advantage_three(ensemble: MirrorEnsemble) -> BoundPair:
 def advantage_three_row(theta: float,
                         priors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`advantage_three` at one theta over an array of priors, as arrays
-    (quantum, noncontextual, gap) with the same range checks.  The per-theta factors
+    (quantum, noncontextual, gap) with the same prior check.  The per-theta factors
     are the scalar functions' `math` expressions and the per-prior arithmetic,
     branches and clamp run in their order, so every element is bit-identical."""
     p_star = threshold_prior(theta)
     p = np.asarray(priors, dtype=float)
-    _check_unit_interval(p, 0.5, "prior_p must lie in [0, 1/2], got")
+    outside = ~((0.0 <= p) & (p <= 0.5))
+    if outside.any():
+        raise ValueError(f"prior_p must lie in [0, 1/2], got {p[outside][0].item()!r}")
     cos_sq, sin_sq = math.cos(theta) ** 2, math.sin(theta) ** 2
     value = p * (1.0 + math.sin(2.0 * theta))
     low = p < p_star  # the complement of quantum_three_branch's p >= p*
@@ -206,14 +209,5 @@ def advantage_three_row(theta: float,
     quantum = np.where(value < 1.0, value, 1.0)
     weight = np.where(p <= 1.0 / 3.0, p, 1.0 - 2.0 * p)  # of c13 in nc_three_bound
     noncontextual = 1.0 - p * math.cos(2.0 * theta) ** 2 - weight * cos_sq
-    gap = quantum - noncontextual
-    _check_unit_interval(quantum, 1.0, "quantum value out of [0, 1]:")
-    _check_unit_interval(noncontextual, 1.0, "noncontextual value out of [0, 1]:")
-    return quantum, noncontextual, gap
+    return quantum, noncontextual, quantum - noncontextual
 
-
-def _check_unit_interval(values: np.ndarray, upper: float, message: str) -> None:
-    """Raise `ValueError` naming the first value outside [0, upper]."""
-    bad = ~((0.0 <= values) & (values <= upper))
-    if bad.any():
-        raise ValueError(f"{message} {values[bad][0].item()!r}")

@@ -1,18 +1,17 @@
 """Numerical maximization of discrimination success over measurements.
 
 The analytic optima in `analytic` are checked here against optima found
-without the closed forms, with the success functional
-sum_i p_i <psi_i| E_i |psi_i> evaluated through the Born rule.
-
-Two hypotheses: projective measurements fixed by one angle, searched by a
-uniform angle grid whose best point and neighbours fix the peak of the
-success, a single harmonic in twice the angle.  Three hypotheses: all
-POVMs, searched by the fixed-point iteration of Jezek, Rehacek and Fiurasek
-(PRA 65, 060301(R), 2002).  Both oracles pair their measurement with the
-Holevo / Yuen-Kennedy-Lax dual, so the verdict is an interval: the success
-of the measurement found and a proven upper bound on the success of every
-measurement.  The effects that the dual certifies are the `Povm` the
-verdict reports and scores.
+without the closed forms.  Two hypotheses: projective measurements fixed by
+one angle, searched by a uniform angle grid whose best point and neighbours
+fix the peak of the success, a single harmonic in twice the angle.  Three
+hypotheses: all POVMs, searched by the fixed-point iteration of Jezek,
+Rehacek and Fiurasek (PRA 65, 060301(R), 2002).  Both oracles pair their
+measurement with the Holevo / Yuen-Kennedy-Lax dual, so the verdict is an
+interval: the success of the measurement found and a proven upper bound on
+the success of every measurement.  `_verdict` takes both ends from one
+`_certificate` call on the effects it reports: the success is
+Tr Gamma = sum_i p_i <psi_i| E_i |psi_i>, and the interval is ordered by
+construction.
 
 `_certificate` evaluates that dual for any complete POVM in numpy; the
 fixed point evaluates it per step in scalar floats.  A step counts only
@@ -51,11 +50,11 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 @dataclass(frozen=True)
 class OracleResult:
     """The best measurement found as a POVM (effect i guesses state i), its
-    Born-rule success, the candidates evaluated (grid angles plus the fitted
-    peak for optimize_two, fixed-point iterates plus any fallback ray for
-    optimize_three), and dual_bound, an upper bound on the success of every
-    measurement, proven up to float rounding: the optimum lies in
-    [success, dual_bound]."""
+    success Tr Gamma from `_certificate`, the candidates evaluated (grid
+    angles plus the fitted peak for optimize_two, fixed-point iterates plus
+    any fallback ray for optimize_three), and dual_bound, an upper bound on
+    the success of every measurement, proven up to float rounding: the
+    optimum lies in [success, dual_bound], and success <= dual_bound always."""
 
     success: float
     povm: Povm
@@ -94,8 +93,8 @@ def optimize_two(
     objective is a single harmonic in 2*angle, so the best grid value and
     its two neighbours fix the peak exactly; the peak is kept within one
     grid step of the best grid angle.  Returns the projective POVM at the
-    peak (outcome 1 guesses s1), its Born-rule success and its dual bound
-    from `_certificate`.
+    peak (outcome 1 guesses s1) with its `_verdict`.  A prior p outside
+    [0, 1], NaN included, is rejected by `PriorDistribution`.
     grid_n must lie in [64, 2**20], which bounds the memory of the grid (one
     float per angle).  refine_iters (>= 0) is validated and accepted only.
     """
@@ -103,8 +102,7 @@ def optimize_two(
         raise ValueError(f"grid_n must lie in [64, {_MAX_GRID_N}], got {grid_n}")
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"prior must lie in [0, 1], got {p!r}")
+    priors = np.array(PriorDistribution((1.0 - p, p)).probabilities)
     t1, t2 = s1.angle, s2.angle
     alphas = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     values = p * np.sin(t2 - alphas) ** 2 + (1.0 - p) * np.cos(t1 - alphas) ** 2
@@ -118,20 +116,24 @@ def optimize_two(
     ket = make_state(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c)))).ket
     projector = np.outer(ket, ket)
     effects = np.array([projector, np.eye(2) - projector])
-    _, dual = _certificate(np.array([s1.ket, s2.ket]), np.array([1.0 - p, p]), effects)
-    return _verdict((s1, s2), PriorDistribution((1.0 - p, p)), effects, grid_n + 1, dual)
+    return _verdict(np.array([s1.ket, s2.ket]), priors, effects, grid_n + 1)
 
 
 def _verdict(
-    states: Sequence[PureState],
-    priors: PriorDistribution,
+    kets: np.ndarray,
+    priors: np.ndarray,
     effects: np.ndarray,
     evaluations: int,
-    dual: float,
+    dual: float = math.inf,
 ) -> OracleResult:
-    """The certified `effects` as a validated POVM, scored through the Born rule."""
+    """The validated `effects` and the interval of one `_certificate` call:
+    success = min(1, Tr Gamma), dual_bound = max(success, min(dual,
+    Tr Gamma + 2t)) with `dual` the solver's own bound (inf if none), so
+    success <= dual_bound <= the effects' own bound, with no tolerance."""
     povm = validate_povm(effects)
-    return OracleResult(discrimination_success(states, priors, povm), povm, evaluations, dual)
+    value, bound = _certificate(kets, priors, effects)
+    success = min(1.0, value)
+    return OracleResult(success, povm, evaluations, max(success, min(dual, bound)))
 
 
 def _certificate(
@@ -152,7 +154,8 @@ def _certificate(
 def _fixed_point(
     kets: np.ndarray, priors: np.ndarray, iters: int
 ) -> tuple[np.ndarray, float, int]:
-    """Best effects, smallest dual bound and number of iterates evaluated of
+    """Best effects, smallest scalar dual bound (`_verdict` takes its min with
+    the effects' own `_certificate`) and number of iterates evaluated of
     the Jezek-Rehacek-Fiurasek iteration E_i <- G^-1 A_i G^-1 from E_i = I/n,
     with A_i = p_i rho_i E_i p_i rho_i and G = (sum_i A_i)^(1/2), for any n
     real kets.  Every iterate E_i = a_i G^-1 |psi_i><psi_i| G^-1 is complete
@@ -248,10 +251,7 @@ def _fixed_point(
             return ray, ray_bound, evaluations + 1
     trial, rows = best
     rows = np.array(rows)
-    effects = np.array(trial)[:, None, None] * np.einsum("ia,ib->iab", rows, rows)
-    # `_certificate` may round the bound of these effects below the scalar
-    # one; the reported bound is never above the reported effects' own.
-    return effects, min(dual, _certificate(kets, priors, effects)[1]), evaluations
+    return np.array(trial)[:, None, None] * np.einsum("ia,ib->iab", rows, rows), dual, evaluations
 
 
 def optimize_three(
@@ -263,14 +263,14 @@ def optimize_three(
     """Maximize three-state success over all measurements, with a certificate.
 
     Runs `_fixed_point` for at most `refine_iters` steps and returns the
-    best POVM visited or its fallback ray, its Born-rule success, the
-    smallest dual bound and the number of candidates evaluated.  `grid_n`
-    (>= 16) is validated and accepted only; `seed` is accepted and ignored.
+    best POVM visited or its fallback ray with its `_verdict`, given the
+    run's smallest dual bound, and the number of candidates evaluated.
+    `grid_n` (>= 16) is validated and accepted only; `seed` is ignored.
     There is no grid and no random start, so every seed gives the same result.
     """
     if grid_n < 16 or refine_iters < 0:
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
-    states, priors = ensemble.states(), ensemble.priors()
-    kets = np.array([state.ket for state in states])
-    effects, dual, evaluations = _fixed_point(kets, np.array(priors.probabilities), refine_iters)
-    return _verdict(states, priors, effects, evaluations, dual)
+    kets = np.array([state.ket for state in ensemble.states()])
+    priors = np.array(ensemble.priors().probabilities)
+    effects, dual, evaluations = _fixed_point(kets, priors, refine_iters)
+    return _verdict(kets, priors, effects, evaluations, dual)

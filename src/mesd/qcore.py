@@ -20,6 +20,9 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-12
 # Completeness sums coming out of optimization carry more float noise.
 COMPLETENESS_TOL = 1e-9
+# The largest eigenvalue of a POVM member, and Born weight: a sum that misses
+# I by COMPLETENESS_TOL entrywise misses it by twice that in operator norm.
+EFFECT_MAX = 1.0 + 2.0 * COMPLETENESS_TOL + PSD_TOL
 
 _IDENTITY = np.eye(2, dtype=complex)
 
@@ -107,14 +110,13 @@ class Effect:
 def born_probability(state: PureState, effect: Effect) -> float:
     """Born-rule outcome probability Tr[|psi><psi| E] = <psi|E|psi>.
 
-    The raw trace may leave [0, 1] only by float noise: PSD_TOL below, and
-    2 * COMPLETENESS_TOL + PSD_TOL above, which an effect of a POVM that `Povm`
-    accepts can reach (its sum may miss I by 2 * COMPLETENESS_TOL in operator
-    norm).  Anything farther out is rejected; the value is clamped into [0, 1].
+    The raw trace may leave [0, 1] only by float noise: PSD_TOL below, and up
+    to EFFECT_MAX above, the largest eigenvalue `Povm` accepts in a member.
+    Anything farther out is rejected; the value is clamped into [0, 1].
     """
     k = state.ket.astype(complex)
     value = float(np.real(k.conj() @ effect.matrix @ k))
-    if not -PSD_TOL <= value <= 1.0 + 2.0 * COMPLETENESS_TOL + PSD_TOL:
+    if not -PSD_TOL <= value <= EFFECT_MAX:
         raise ValueError(
             f"effect gives Born weight {value!r} outside [0, 1]: invalid effect"
         )
@@ -123,7 +125,8 @@ def born_probability(state: PureState, effect: Effect) -> float:
 
 @dataclass(frozen=True)
 class Povm:
-    """An ordered list of effects summing to the identity, one per outcome."""
+    """An ordered list of effects summing to the identity, one per outcome,
+    none with an eigenvalue above EFFECT_MAX."""
 
     effects: tuple[Effect, ...]
     __hash__ = None  # type: ignore[assignment]  # its effects are unhashable
@@ -131,9 +134,11 @@ class Povm:
     def __post_init__(self) -> None:
         if not self.effects:
             raise ValueError("POVM needs at least one effect")
-        total = sum(e.matrix for e in self.effects)
-        if np.abs(total - _IDENTITY).max() > COMPLETENESS_TOL:
+        stack = np.array([e.matrix for e in self.effects])
+        if np.abs(stack.sum(axis=0) - _IDENTITY).max() > COMPLETENESS_TOL:
             raise ValueError("incomplete POVM")
+        if not np.linalg.eigvalsh(stack)[:, -1].max() <= EFFECT_MAX:
+            raise ValueError("oversized effect: an eigenvalue above 1")
         object.__setattr__(self, "effects", tuple(self.effects))
 
     def __len__(self) -> int:
@@ -143,9 +148,10 @@ class Povm:
 def validate_povm(effects: Sequence[Effect | np.ndarray]) -> Povm:
     """Validate a list of effects (or raw 2x2 matrices) as a POVM.
 
-    Raises ValueError("non-positive effect") for a negative eigenvalue and
+    Raises ValueError("non-positive effect") for a negative eigenvalue,
     ValueError("incomplete POVM") when the effects do not sum to identity
-    within 1e-9.
+    within 1e-9, and ValueError("oversized effect ...") for an eigenvalue
+    above EFFECT_MAX, which the Born rule could not score.
     """
     wrapped = tuple(e if isinstance(e, Effect) else Effect(np.asarray(e)) for e in effects)
     return Povm(wrapped)

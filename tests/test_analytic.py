@@ -83,6 +83,11 @@ class TestHelstromTwo:
             TwoStateScenario(p, hi)
         ) - 1e-12
 
+    @pytest.mark.parametrize("p", [0.49999999381707144, 0.5 - 1e-12, 0.5 + 3e-9])
+    def test_identical_states_near_equal_priors(self, p):
+        # the radicand 1 - 4p(1-p)c cancels here; (1-2p)^2 + 4p(1-p)(1-c) does not
+        assert abs(helstrom_two(TwoStateScenario(p, 1.0)) - max(p, 1.0 - p)) <= 1e-16
+
     @given(UNIT, UNIT)
     def test_prior_swap_symmetry(self, p, c):
         a = helstrom_two(TwoStateScenario(p, c))

@@ -1,12 +1,16 @@
-"""The public surface of the `mesd` package and the README's library example."""
+"""The public surface of the `mesd` package, the README's library example
+and its CLI examples."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import mesd
-from mesd import ontic, qcore
+from mesd import cli, ontic, qcore
 
 PUBLIC_NAMES = [
     "BoundPair",
@@ -74,3 +78,20 @@ def test_readme_example_runs():
         exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
     _, success, dual_bound = (float(x) for x in out.getvalue().split())
     assert success <= dual_bound
+
+
+def readme_cli_lines() -> list[str]:
+    """The `mesd ...` lines of README's CLI block, comments dropped."""
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    return [line.split("#")[0].strip() for line in block.group(1).splitlines()
+            if line.startswith("mesd ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_cli_lines()) == 7
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_runs(line, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err

@@ -156,6 +156,14 @@ class TestValidatePovm:
         with pytest.raises(ValueError):
             validate_povm([])
 
+    def test_member_the_born_rule_cannot_score_rejected(self):
+        # complete within COMPLETENESS_TOL and each member PSD within PSD_TOL,
+        # but the first member's Born weight on v exceeds born_probability's margin
+        v, w = make_state(math.pi / 4).projector(), make_state(3 * math.pi / 4).projector()
+        rest = -0.99e-12 * v + 0.5 * w
+        with pytest.raises(ValueError, match="oversized effect"):
+            validate_povm([(1.0 + 1.9995e-9 + 2e-12) * v, rest, rest])
+
 
 class TestPriorDistribution:
     def test_valid(self):
