@@ -132,9 +132,10 @@ def threshold_prior(theta: float) -> float:
 def quantum_three_branch(ensemble: MirrorEnsemble) -> str:
     """Which branch of the optimal three-state strategy applies.
 
-    "high-prior" for p >= p*(theta) (the symmetric three-outcome regime);
-    "low-prior" otherwise.  At exactly p = p* the two branch formulas agree
-    identically, so the high-prior branch is used.
+    "high-prior" for p >= p*(theta): the optimum is the Helstrom measurement
+    of the mirror pair and never guesses state 3.  "low-prior" otherwise:
+    all three outcomes are used.  At exactly p = p* the two branch formulas
+    agree identically, so the high-prior branch is used.
     """
     return "high-prior" if ensemble.prior_p >= threshold_prior(ensemble.theta) else "low-prior"
 

@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_angle(p_o3, "theta", "mirror angle")
     p_o3.add_argument("--prior", type=float, required=True)
     p_o3.add_argument("--grid-n", type=int, default=64, help="accepted, must be >= 16; no grid")
-    p_o3.add_argument("--refine-iters", type=int, default=200, help="iteration budget")
+    p_o3.add_argument("--refine-iters", type=int, default=200, help="accepted, must be >= 0")
     p_o3.add_argument("--seed", type=int, default=0, help="accepted; the solver is deterministic")
     p_o3.add_argument("--tol", type=float, default=1e-3)
     add_io(p_o3)

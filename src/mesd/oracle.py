@@ -4,27 +4,27 @@ The analytic optima in `analytic` are checked here against optima found
 without the closed forms.  Two hypotheses: projective measurements fixed by
 one angle, searched by a uniform angle grid whose best point and neighbours
 fix the peak of the success, a single harmonic in twice the angle.  Three
-hypotheses: all POVMs, searched by the fixed-point iteration of Jezek,
-Rehacek and Fiurasek (PRA 65, 060301(R), 2002).  Both oracles pair their
-measurement with the Holevo / Yuen-Kennedy-Lax dual, so the verdict is an
-interval: the success of the measurement found and a proven upper bound on
-the success of every measurement.  `_verdict` takes both ends from one
-`_certificate` call on the effects it reports: the success is
+hypotheses: all POVMs, found exactly by `_active_set`, which enumerates the
+pairs and triples of active constraints of the Holevo / Yuen-Kennedy-Lax
+dual; its optimum for the mirror triple is the closed form of Andersson,
+Barnett, Gilson and Hunter (PRA 65, 052308, 2002).  Both oracles pair their
+measurement with that dual, so the verdict is an interval: the success of
+the measurement found and a proven upper bound on the success of every
+measurement.  `_verdict` takes both ends from one `_certificate` call on
+the effects it reports: the success is
 Tr Gamma = sum_i p_i <psi_i| E_i |psi_i>, and the interval is ordered by
 construction.
 
-`_certificate` evaluates that dual for any complete POVM in numpy; the
-fixed point evaluates it per step in scalar floats.  A step counts only
-when the 2x2 matrix S it inverts passes one scalar singularity test and its
-effects sum to I within `COMPLETENESS_TOL`; a failed step at omega = 1 ends
-the iteration.  An uncertified end may fall back to the states' dominant
-ray, one more evaluation: a singular start (theta = 0 or p = 0) reports 2.
+`_certificate` evaluates that dual for any complete POVM in numpy;
+`_active_set` evaluates it per candidate in scalar floats and keeps a
+triple only if its effects sum to I within `COMPLETENESS_TOL`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -42,17 +42,14 @@ from .qcore import (
 )
 
 _MAX_GRID_N = 2**20
-# The three-state iteration stops once dual bound - success is this small.
-_GAP_TOL = 1e-13
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """The best measurement found as a POVM (effect i guesses state i), its
     success Tr Gamma from `_certificate`, the candidates evaluated (grid
-    angles plus the fitted peak for optimize_two, fixed-point iterates plus
-    any fallback ray for optimize_three), and dual_bound, an upper bound on
+    angles plus the fitted peak for optimize_two, active-set pairs and
+    triples scored for optimize_three), and dual_bound, an upper bound on
     the success of every measurement, proven up to float rounding: the
     optimum lies in [success, dual_bound], and success <= dual_bound always."""
 
@@ -151,107 +148,99 @@ def _certificate(
     return float(np.trace(gamma)), float(np.trace(gamma)) + 2.0 * t
 
 
-def _fixed_point(
-    kets: np.ndarray, priors: np.ndarray, iters: int
-) -> tuple[np.ndarray, float, int]:
-    """Best effects, smallest scalar dual bound (`_verdict` takes its min with
-    the effects' own `_certificate`) and number of iterates evaluated of
-    the Jezek-Rehacek-Fiurasek iteration E_i <- G^-1 A_i G^-1 from E_i = I/n,
-    with A_i = p_i rho_i E_i p_i rho_i and G = (sum_i A_i)^(1/2), for any n
-    real kets.  Every iterate E_i = a_i G^-1 |psi_i><psi_i| G^-1 is complete
-    and rank-1, so the iteration runs on the weights a: the start is
-    a_i = p_i^2 (their scale cancels) and a step multiplies a_i by
-    (p_i <psi_i|G^-1|psi_i>)^2.  Plain steps crawl where an optimal effect
-    vanishes, at and above the threshold prior, so that factor is raised to
-    omega, which doubles while the success does not fall and returns to 1
-    otherwise.
+def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Best effects, smallest dual bound (`_verdict` takes its min with the
+    effects' own `_certificate`) and number of candidates scored, for any
+    n >= 2 real kets, in scalar floats.  The Holevo / Yuen-Kennedy-Lax dual is
+    min Tr Gamma over symmetric 2x2 Gamma >= p_i rho_i, three unknowns, so
+    by Caratheodory some pair or triple of active constraints carries the
+    optimum: it is exact to score every candidate of both kinds.
 
-    A step is scalar float arithmetic on the real kets k_i.  S = G^2 =
-    sum_i a_i k_i k_i^T is three numbers (s_xx, s_xy, s_yy), and
-    det S = sum_{i<j} a_i a_j (k_i x k_j)^2 by Cauchy-Binet, a sum of
-    nonnegative terms with no cancellation.  With r = sqrt(det S),
-    G^-1 = S^-1/2 = (adj S + r I) / (r sqrt(tr S + 2r)), and the effects are
-    a_i g_i g_i^T with rows g_i = G^-1 k_i.  A step counts only if
-    r > sqrt(tiny) tr S, i.e. lambda_min > tiny lambda_max (else G^-1 = 0),
-    and sum_i a_i g_i g_i^T is within COMPLETENESS_TOL of I: an inexact G^-1
-    gives effects that are no measurement and may beat the dual bound.  A
-    failed step sets omega to 1, or ends the loop if omega is 1, since every
-    later trial would repeat it.  A counted step's certificate is
-    `_certificate`'s in closed form: Tr Gamma = sum_i p_i a_i (k_i.g_i)^2 and
-    t = max_i lambda_max(p_i rho_i - Gamma)^+, where lambda_max of a symmetric
-    2x2 m is (m_xx + m_yy)/2 + hypot((m_xx - m_yy)/2, m_xy).  The (n, 2, 2)
-    effects are built once, from the best step.  An end with a gap above
-    _GAP_TOL scores the one-ray measurement below, one more evaluation (2 in
-    all at theta = 0 or p = 0), and returns it if no step counted or if its
-    own gap is within _GAP_TOL."""
-    start = (priors / priors.max()) ** 2
-    xs, ys = kets.T.tolist()
-    states = list(zip(priors.tolist(), xs, ys))
-    crosses = [(i, j, (xs[i] * ys[j] - ys[i] * xs[j]) ** 2)
-               for i in range(len(xs)) for j in range(i + 1, len(xs))]
-    weights, ratio, best = start.tolist(), [1.0] * len(states), None
-    omega, value, primal, dual = 1.0, -math.inf, -math.inf, math.inf
-    for evaluations in range(1, iters + 2):
-        top = max(ratio)
-        trial = [w * (q / top) ** omega for w, q in zip(weights, ratio)]
-        sxx = sxy = syy = 0.0
-        for a, (_, x, y) in zip(trial, states):
-            sxx, sxy, syy = sxx + a * x * x, sxy + a * x * y, syy + a * y * y
-        root = math.sqrt(sum(trial[i] * trial[j] * c for i, j, c in crosses))
-        scale = (root * math.sqrt(sxx + syy + 2.0 * root) if root > _SQRT_TINY * (sxx + syy)
-                 else math.inf)  # S singular: G^-1 = 0, and the completeness test fails
-        uxx, uxy, uyy = (syy + root) / scale, -sxy / scale, (sxx + root) / scale
-        rows, overlaps = [], []
-        cxx = cxy = cyy = trial_value = gamma_xx = gamma_xy = gamma_yy = 0.0
-        for a, (p, x, y) in zip(trial, states):
-            u, v = uxx * x + uxy * y, uxy * x + uyy * y
-            o = x * u + y * v
-            c = p * a * o
-            rows.append((u, v))
-            overlaps.append(o)
-            cxx, cxy, cyy = cxx + a * u * u, cxy + a * u * v, cyy + a * v * v
-            trial_value += c * o
-            gamma_xx, gamma_xy, gamma_yy = (gamma_xx + c * x * u, gamma_xy + c * (x * v + y * u),
-                                            gamma_yy + c * y * v)
-        if not max(abs(cxx - 1.0), abs(cxy), abs(cyy - 1.0)) <= COMPLETENESS_TOL:
-            if omega == 1.0:  # S singular or S^-1/2 inexact, and so for every later trial
-                break
-            omega = 1.0
-            continue
-        gamma_xy *= 0.5
+    Pair (a, b): the Helstrom measurement, the projector on the positive
+    eigenvector of p_a rho_a - p_b rho_b and its complement, or I to one
+    outcome if that matrix is semidefinite.  Triple (i, j, m), all priors
+    positive: X = Gamma^-1 solves p_i k_i^T X k_i = 1 by Cramer's rule,
+    written as Lagrange interpolation of a binary quadratic form,
+    X = sum_i (1/p_i) sym(u_j u_m^T) / d_i with u = (-y, x) and
+    d_i = (k_j x k_i)(k_m x k_i); then sum_i w_i k_i k_i^T = Gamma^2 gives
+    w_i = (Gamma u_j).(Gamma u_m) / d_i, and E_i = w_i (X k_i)(X k_i)^T.
+    A triple is scored only if X > 0, w >= 0 and sum_i E_i is within
+    COMPLETENESS_TOL of I, which also rejects overflow at tiny theta or p.
+
+    Each candidate is scored with `_certificate` in closed form:
+    Tr Gamma = sum_i p_i k_i^T E_i k_i and t = max_i lambda_max(p_i rho_i - Gamma)^+,
+    where lambda_max of a symmetric 2x2 m is
+    (m_xx + m_yy)/2 + hypot((m_xx - m_yy)/2, m_xy).  The candidate of
+    largest Tr Gamma wins; its (n, 2, 2) effects are built once."""
+    states = list(zip(priors.tolist(), *kets.T.tolist()))
+    candidates = [_pair(states, a, b) for a, b in combinations(range(len(states)), 2)]
+    candidates += filter(None, (_triple(states, t) for t in combinations(range(len(states)), 3)))
+    best, value, dual = None, -math.inf, math.inf
+    for effects in candidates:
+        gxx = gxy = gyy = 0.0
+        for i, exx, exy, eyy in effects:
+            p, x, y = states[i]
+            u, v = exx * x + exy * y, exy * x + eyy * y
+            gxx, gxy, gyy = gxx + p * x * u, gxy + 0.5 * p * (x * v + y * u), gyy + p * y * v
         t = 0.0
         for p, x, y in states:
-            mxx, myy = p * x * x - gamma_xx, p * y * y - gamma_yy
-            lam_max = 0.5 * (mxx + myy) + math.hypot(0.5 * (mxx - myy), p * x * y - gamma_xy)
-            if lam_max > t:
-                t = lam_max
-        dual = min(dual, trial_value + 2.0 * t)
-        if trial_value > primal:
-            primal, best = trial_value, (trial, rows)
-        if trial_value >= value or omega == 1.0:
-            top = max(trial)
-            weights, value, omega = [a / top for a in trial], trial_value, 2.0 * omega
-            ratio = [(p * o) ** 2 for (p, _, _), o in zip(states, overlaps)]
-        else:
-            omega = 1.0
-        if dual - primal <= _GAP_TOL:
-            break
-    if dual - primal > _GAP_TOL:
-        # The projector on the top eigenvector r of the first S for the outcome
-        # with the largest p_i <psi_i|r>^2, plus the complement: optimal when
-        # every weighted state lies on r (S singular), and often certified when
-        # they almost do, where S^-1/2 is too inexact for the iteration.
-        r = np.linalg.eigh(np.einsum("i,ia,ib->ab", start, kets, kets))[1][:, -1]
-        k = int(np.argmax(priors * (kets @ r) ** 2))
-        ray = np.zeros((len(kets), 2, 2))
-        ray[k] = np.outer(r, r)
-        ray[(k + 1) % len(kets)] = np.eye(2) - ray[k]
-        ray_value, ray_bound = _certificate(kets, priors, ray)
-        if best is None or ray_bound - ray_value <= _GAP_TOL:
-            return ray, ray_bound, evaluations + 1
-    trial, rows = best
-    rows = np.array(rows)
-    return np.array(trial)[:, None, None] * np.einsum("ia,ib->iab", rows, rows), dual, evaluations
+            mxx, myy = p * x * x - gxx, p * y * y - gyy
+            t = max(t, 0.5 * (mxx + myy) + math.hypot(0.5 * (mxx - myy), p * x * y - gxy))
+        dual = min(dual, gxx + gyy + 2.0 * t)
+        if gxx + gyy > value:
+            best, value = effects, gxx + gyy
+    out = np.zeros((len(states), 2, 2))
+    for i, exx, exy, eyy in best:
+        out[i] = ((exx, exy), (exy, eyy))
+    return out, dual, len(candidates)
+
+
+def _pair(states: list, a: int, b: int) -> list:
+    """Helstrom effects (index, e_xx, e_xy, e_yy) for outcomes a and b."""
+    (pa, xa, ya), (pb, xb, yb) = states[a], states[b]
+    mxx, myy = pa * xa * xa - pb * xb * xb, pa * ya * ya - pb * yb * yb
+    mxy, half = pa * xa * ya - pb * xb * yb, 0.5 * (mxx - myy)
+    radius = math.hypot(half, mxy)
+    if 0.5 * (mxx + myy) >= radius:
+        return [(a, 1.0, 0.0, 1.0)]
+    if 0.5 * (mxx + myy) <= -radius:
+        return [(b, 1.0, 0.0, 1.0)]
+    phi = 0.5 * math.atan2(mxy, half)  # the positive eigenvector's angle
+    c, s = math.cos(phi), math.sin(phi)
+    return [(a, c * c, c * s, s * s), (b, s * s, -c * s, c * c)]
+
+
+def _triple(states: list, outcomes: tuple[int, int, int]) -> list | None:
+    """Effects (index, e_xx, e_xy, e_yy) of the triple whose three dual
+    constraints are all active, or None if it has no such measurement."""
+    picked = [states[i] for i in outcomes]
+    if not all(p > 0.0 for p, _, _ in picked):
+        return None
+    others = [(picked[k - 2][1:], picked[k - 1][1:]) for k in range(3)]
+    crosses = [(xj * y - yj * x) * (xm * y - ym * x)
+               for (_, x, y), ((xj, yj), (xm, ym)) in zip(picked, others)]
+    if 0.0 in crosses:  # two kets on one ray, in floats
+        return None
+    axx = axy = ayy = 0.0  # X = Gamma^-1
+    for (p, _, _), ((xj, yj), (xm, ym)), d in zip(picked, others, crosses):
+        q = 1.0 / p / d  # p * d may underflow to 0; an inf here fails a test below
+        axx, axy, ayy = axx + q * yj * ym, axy - 0.5 * q * (yj * xm + xj * ym), ayy + q * xj * xm
+    det = axx * ayy - axy * axy
+    if not (axx > 0.0 and det > 0.0):
+        return None
+    gxx, gxy, gyy = ayy / det, -axy / det, axx / det
+    effects = []
+    for i, (_, x, y), ((xj, yj), (xm, ym)), d in zip(outcomes, picked, others, crosses):
+        w = ((gxy * xj - gxx * yj) * (gxy * xm - gxx * ym)
+             + (gyy * xj - gxy * yj) * (gyy * xm - gxy * ym)) / d
+        if not w >= 0.0:
+            return None
+        u, v = axx * x + axy * y, axy * x + ayy * y
+        effects.append((i, w * u * u, w * u * v, w * v * v))
+    sxx, sxy, syy = (sum(e[k] for e in effects) for k in (1, 2, 3))
+    if not max(abs(sxx - 1.0), abs(sxy), abs(syy - 1.0)) <= COMPLETENESS_TOL:
+        return None
+    return effects
 
 
 def optimize_three(
@@ -262,15 +251,18 @@ def optimize_three(
 ) -> OracleResult:
     """Maximize three-state success over all measurements, with a certificate.
 
-    Runs `_fixed_point` for at most `refine_iters` steps and returns the
-    best POVM visited or its fallback ray with its `_verdict`, given the
-    run's smallest dual bound, and the number of candidates evaluated.
-    `grid_n` (>= 16) is validated and accepted only; `seed` is ignored.
-    There is no grid and no random start, so every seed gives the same result.
+    Runs `_active_set` and returns its best POVM with its `_verdict`, given
+    the smallest candidate bound, and the number of candidates scored: the
+    three pairs, plus the triple unless it has no measurement (theta = 0,
+    or below ~1e-76, where its weights underflow; p in {0, 1/2}; or p above
+    p*(theta), where E_3 = 0).  `grid_n` (>= 16)
+    and `refine_iters` (>= 0) are validated and accepted only; `seed` is
+    ignored.  There is no grid, no iteration and no random start, so every
+    seed gives the same result.
     """
     if grid_n < 16 or refine_iters < 0:
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
     kets = np.array([state.ket for state in ensemble.states()])
     priors = np.array(ensemble.priors().probabilities)
-    effects, dual, evaluations = _fixed_point(kets, priors, refine_iters)
+    effects, dual, evaluations = _active_set(kets, priors)
     return _verdict(kets, priors, effects, evaluations, dual)

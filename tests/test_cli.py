@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesd import analytic, ontic
+from mesd import analytic, ontic, oracle
 from mesd.analytic import MirrorEnsemble
 from mesd.cli import _fmt_num, _json_numbers, _json_obj, main
+from mesd.qcore import validate_povm
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
 ANGLE_FLAGS = [("three", "--theta"), ("oracle-three", "--theta"), ("oracle-two", "--sep")]
@@ -329,10 +330,13 @@ class TestCmdOracle:
         assert record["difference"] <= 1e-3
         assert record["evaluations"] > 0
 
-    def test_oracle_three_unreachable_tolerance_exits_4(self, capsys):
-        # a deliberately coarse search cannot land within 1e-12
-        code = main(["oracle-three", "--theta-deg", "60", "--prior", "0.1",
-                     "--grid-n", "16", "--refine-iters", "2", "--tol", "1e-12"])
+    def test_oracle_three_unreachable_tolerance_exits_4(self, capsys, monkeypatch):
+        # a valid measurement off the optimum: always guess the third state,
+        # success 1 - 2p = 0.8 against the optimum 0.877
+        zero = np.zeros((2, 2))
+        off_target = oracle.OracleResult(0.8, validate_povm([zero, zero, np.eye(2)]), 1, 0.9)
+        monkeypatch.setattr(oracle, "optimize_three", lambda *args, **kwargs: off_target)
+        code = main(["oracle-three", "--theta-deg", "60", "--prior", "0.1", "--tol", "1e-12"])
         captured = capsys.readouterr()
         assert code == 4
         assert "exceeds" in captured.err

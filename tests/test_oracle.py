@@ -281,7 +281,8 @@ def reference_three(theta: float, p: float) -> float:
 
 def certificate_points() -> list[tuple[float, float]]:
     """Edges, the threshold prior p*(theta) and its 1e-9 neighbours, p = 1/3,
-    and theta so small that G in the fixed point is too inexact to invert."""
+    and theta so small that the triple's products of cross products
+    (k_j x k_i)(k_m x k_i), of order theta^2, come near float underflow."""
     points = []
     for theta in (0.0, 5.6e-154, 1e-150, 1e-6, 0.3, math.pi / 4, 1.2, HALF_PI - 1e-9,
                   HALF_PI):
@@ -305,9 +306,9 @@ def test_certificate_brackets_the_optimum(theta, p):
 @pytest.mark.parametrize("theta,p", [(0.0, 0.1), (0.0, 1 / 3), (0.0, 0.5), (0.3, 0.0),
                                      (HALF_PI, 0.0), (1.0, 4.686913769124442e-156)])
 def test_singular_points_give_complete_params(theta, p):
-    # every weighted state lies on one ray, so G in the fixed point is
-    # singular; at a subnormal pair weight p^2 it is so in floats, where
-    # G^-1 would overflow to NaN effects
+    # every weighted state lies on one ray, so the triple has no
+    # measurement and a pair carries the optimum; at a pair prior of
+    # 4.7e-156 the triple's weights, of order p^2, are subnormal
     r = optimize_three(MirrorEnsemble(theta, p))
     total = sum(e.matrix for e in r.povm.effects)
     assert np.allclose(total, np.eye(2), atol=1e-12)
@@ -315,10 +316,10 @@ def test_singular_points_give_complete_params(theta, p):
 
 
 @pytest.mark.parametrize("theta,p", [(1e-151, 0.1), (1e-147, 1e-6), (1e-146, 1e-6)])
-def test_rejected_step_ends_the_iteration(theta, p):
-    # a few steps in, S is singular in floats; once a step is rejected at
-    # omega = 1 every later trial repeats it, so the run must end there
-    # instead of spending its whole budget (202 evaluations)
+def test_tiny_theta_is_certified_in_few_evaluations(theta, p):
+    # the triple's weights, built from squares of Gamma's entry of order
+    # p theta^2, underflow, so the triple is dropped: the result is still a
+    # certified measurement, found among at most four candidates
     r = optimize_three(MirrorEnsemble(theta, p))
     assert np.allclose(sum(e.matrix for e in r.povm.effects), np.eye(2), atol=1e-12)
     assert r.dual_bound - r.success <= 1e-12
@@ -380,7 +381,6 @@ def test_three_state_oracle_brackets_the_reference(theta, p):
 
 def test_certificate_holds_on_a_mirror_grid():
     # test_reported_povm_is_the_certified_one on a 61 x 61 grid, edges included
-    uncertified = 0
     for theta in np.linspace(0.0, HALF_PI, 61).tolist():
         for p in np.linspace(0.0, 0.5, 61).tolist():
             ensemble = MirrorEnsemble(theta, p)
@@ -389,13 +389,11 @@ def test_certificate_holds_on_a_mirror_grid():
             effects = np.array([e.matrix.real for e in r.povm.effects])
             value, bound = oracle._certificate(
                 kets, np.array(ensemble.priors().probabilities), effects)
-            assert r.dual_bound - r.success <= 1e-9, (theta, p)
+            assert r.dual_bound - r.success <= 1e-13, (theta, p)
             assert abs(r.success - quantum_three(ensemble)) <= 1e-12, (theta, p)
             assert abs(value - r.success) <= 1e-15, (theta, p)
             assert bound >= r.dual_bound, (theta, p)
             assert r.success <= r.dual_bound, (theta, p)
-            uncertified += r.dual_bound - r.success > oracle._GAP_TOL
-    assert uncertified <= 8
 
 
 def asymmetric_triples():
@@ -408,12 +406,57 @@ def asymmetric_triples():
         yield rng.uniform(0.0, math.pi, 3), rng.dirichlet((1.0, 1.0, 1.0))
 
 
-def test_fixed_point_returns_a_measurement_on_asymmetric_triples():
-    # an ill-conditioned S passes for nonsingular while its S^-1/2 is
-    # inexact; the effects of such a step are no measurement and can beat
-    # their own dual bound, as on the first triple
+def solve_kets(angles, priors) -> oracle.OracleResult:
+    """`optimize_three`'s solver and verdict on real kets at `angles`."""
+    kets = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    priors = np.asarray(priors, dtype=float)
+    effects, dual, evaluations = oracle._active_set(kets, priors)
+    return oracle._verdict(kets, priors, effects, evaluations, dual)
+
+
+def test_active_set_certifies_asymmetric_triples():
+    # effects that miss I are no measurement and can beat their own dual
+    # bound, so both are checked; the first triple is ill-conditioned
     for angles, priors in asymmetric_triples():
         kets, priors = np.stack([np.cos(angles), np.sin(angles)], axis=1), np.asarray(priors)
-        effects, dual, _ = oracle._fixed_point(kets, priors, 200)
+        effects, dual, evaluations = oracle._active_set(kets, priors)
         assert np.abs(effects.sum(axis=0) - np.eye(2)).max() <= 1e-9, (angles, priors)
         assert dual >= oracle._certificate(kets, priors, effects)[0] - 1e-13, (angles, priors)
+        r = oracle._verdict(kets, priors, effects, evaluations, dual)
+        assert r.dual_bound - r.success <= 1e-9, (angles, priors)
+
+
+def test_active_set_matches_the_reference_at_log_spaced_points():
+    for theta in np.geomspace(1e-8, HALF_PI, 14).tolist():
+        for p in np.geomspace(1e-8, 0.5, 14).tolist():
+            r = optimize_three(MirrorEnsemble(theta, p))
+            assert abs(r.success - reference_three(theta, p)) <= 1e-14, (theta, p)
+
+
+def test_active_set_on_two_kets_and_the_trine():
+    for sep in (0.0, 1e-12, 1e-6, 0.3, math.pi / 4, HALF_PI, 3.0):
+        for p in (0.0, 1e-9, 0.3, 0.5, 0.5 + 1e-9, 0.7, 1.0):
+            r = solve_kets((0.0, sep), (1.0 - p, p))
+            assert abs(r.success - reference_two(sep, p)) <= 1e-12, (sep, p)
+            assert r.dual_bound - r.success <= 1e-12, (sep, p)
+    trine = solve_kets((math.pi / 3, -math.pi / 3, 0.0), (1 / 3, 1 / 3, 1 / 3))
+    assert trine.success == pytest.approx(2 / 3, abs=1e-15)
+    assert trine.dual_bound - trine.success <= 1e-15
+
+
+def test_third_state_is_guessed_only_below_the_threshold_prior():
+    # p*(60 deg) = 0.373: on the high-prior branch above it, E_3 = 0
+    high, low = ([float(np.trace(e.matrix).real) for e in
+                  optimize_three(MirrorEnsemble(math.pi / 3, p)).povm.effects] for p in (0.45, 0.3))
+    assert high == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
+    # Tr E_3 = 1 - (p sin(t) cos(t) / (1 - 2p - p cos(t)^2))^2 = 1 - 0.27 / 1.69
+    assert low[2] == pytest.approx(1.0 - 0.27 / 1.69, abs=1e-12)
+
+
+def test_triple_with_an_indefinite_dual_is_not_scored():
+    # its weights are >= 0 and its effects sum to I, a measurement, but
+    # Gamma = X^-1 is indefinite, so no dual optimum: only the pairs count
+    r = solve_kets((1.7204467186970536, 1.012105887261728, 2.3603568486751816),
+                   (0.014922235208191139, 0.8899345397004653, 0.09514322509134346))
+    assert r.evaluations == 3
+    assert r.dual_bound - r.success <= 1e-15
