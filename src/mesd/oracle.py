@@ -259,10 +259,16 @@ def optimize_three(
     and `refine_iters` (>= 0) are validated and accepted only; `seed` is
     ignored.  There is no grid, no iteration and no random start, so every
     seed gives the same result.
+
+    `MirrorEnsemble` is the one check of (theta, p): the kets (c, s),
+    (c, -s), (1, 0) with c, s = cos theta, sin theta and the priors
+    (p, p, 1 - 2p) are built from it directly, bit for bit those of
+    `ensemble.states()` and `ensemble.priors()`.
     """
     if grid_n < 16 or refine_iters < 0:
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
-    kets = np.array([state.ket for state in ensemble.states()])
-    priors = np.array(ensemble.priors().probabilities)
+    c, s, p = math.cos(ensemble.theta), math.sin(ensemble.theta), ensemble.prior_p
+    kets = np.array([(c, s), (c, -s), (1.0, 0.0)])
+    priors = np.array([p, p, 1.0 - 2.0 * p], dtype=float)
     effects, dual, evaluations = _active_set(kets, priors)
     return _verdict(kets, priors, effects, evaluations, dual)

@@ -3,6 +3,16 @@
 States live on the great circle of the Bloch sphere spanned by the real
 combinations of |0> and |1>, so a single angle fixes a state.  Effects and
 POVMs are kept as full 2x2 complex matrices so the Born rule stays generic.
+
+Effects and POVMs are checked in closed form, without an eigensolver.  Of a
+matrix [[a, b], [c, d]] the positivity tests read the lower triangle a, c, d,
+the triangle `numpy.linalg.eigvalsh` reads by default, and the real parts of
+a and d.  By Sylvester's criterion a Hermitian 2x2 matrix with diagonal
+(x, y) and lower off-diagonal c is positive semidefinite exactly when
+x >= 0, y >= 0 and x*y >= |c|*|c|.  lambda_min >= -PSD_TOL is that test on
+M + PSD_TOL*I, and lambda_max <= EFFECT_MAX is that test on EFFECT_MAX*I - M.
+It is exact up to the rounding of the two products, about eps times the
+entries, far below PSD_TOL for effects of norm ~1.
 """
 
 from __future__ import annotations
@@ -76,12 +86,26 @@ def confusability(a: PureState, b: PureState) -> float:
     return min(1.0, max(0.0, inner * inner))
 
 
+def _is_psd(x: float, y: float, c: complex) -> bool:
+    """Sylvester's criterion: the Hermitian 2x2 matrix with diagonal (x, y)
+    and lower off-diagonal c is positive semidefinite.  NaN fails it."""
+    r = math.hypot(c.real, c.imag)  # no OverflowError, unlike abs(c)
+    if r > 1e150:  # r * r would overflow, and inf >= inf holds: compare at |c| = 1
+        x, y, r = x / r, y / r, 1.0
+    return x >= 0.0 and y >= 0.0 and x * y >= r * r
+
+
 @dataclass(frozen=True, eq=False)  # compares by value, so unhashable
 class Effect:
     """A positive semidefinite 2x2 measurement effect.
 
     Hermiticity and positivity are enforced at construction; the matrix is
-    copied and frozen so shared references cannot mutate it.
+    copied and frozen so shared references cannot mutate it.  Of
+    [[a, b], [c, d]], |a - conj(a)|, |b - conj(c)| and |d - conj(d)| must be
+    at most HERMITIAN_TOL; a NaN or infinite entry fails that test.
+    Positivity is Sylvester's criterion on the lower triangle of
+    M + PSD_TOL*I: x = Re a + PSD_TOL >= 0, y = Re d + PSD_TOL >= 0 and
+    x*y >= |c|*|c|.
     """
 
     matrix: np.ndarray
@@ -90,9 +114,11 @@ class Effect:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect must be a 2x2 matrix, got shape {m.shape}")
-        if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
+        a, b, c, d = m.ravel().tolist()
+        skews = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
+        if not all(math.hypot(z.real, z.imag) <= HERMITIAN_TOL for z in skews):
             raise ValueError("non-Hermitian effect")
-        if not np.linalg.eigvalsh(m)[0] >= -PSD_TOL:  # eigenvalues ascend
+        if not _is_psd(a.real + PSD_TOL, d.real + PSD_TOL, c):
             raise ValueError("non-positive effect")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -126,7 +152,13 @@ def born_probability(state: PureState, effect: Effect) -> float:
 @dataclass(frozen=True)
 class Povm:
     """An ordered list of effects summing to the identity, one per outcome,
-    none with an eigenvalue above EFFECT_MAX."""
+    none with an eigenvalue above EFFECT_MAX.
+
+    The sum may miss I by COMPLETENESS_TOL in each entry.  lambda_max <=
+    EFFECT_MAX is Sylvester's criterion on the lower triangle of
+    EFFECT_MAX*I - M: with x = EFFECT_MAX - Re a and y = EFFECT_MAX - Re d,
+    x >= 0, y >= 0 and x*y >= |c|*|c|.
+    """
 
     effects: tuple[Effect, ...]
     __hash__ = None  # type: ignore[assignment]  # its effects are unhashable
@@ -137,8 +169,10 @@ class Povm:
         stack = np.array([e.matrix for e in self.effects])
         if np.abs(stack.sum(axis=0) - _IDENTITY).max() > COMPLETENESS_TOL:
             raise ValueError("incomplete POVM")
-        if not np.linalg.eigvalsh(stack)[:, -1].max() <= EFFECT_MAX:
-            raise ValueError("oversized effect: an eigenvalue above 1")
+        for e in self.effects:
+            a, _, c, d = e.matrix.ravel().tolist()
+            if not _is_psd(EFFECT_MAX - a.real, EFFECT_MAX - d.real, c):
+                raise ValueError("oversized effect: an eigenvalue above 1")
         object.__setattr__(self, "effects", tuple(self.effects))
 
     def __len__(self) -> int:

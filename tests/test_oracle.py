@@ -460,3 +460,34 @@ def test_triple_with_an_indefinite_dual_is_not_scored():
                    (0.014922235208191139, 0.8899345397004653, 0.09514322509134346))
     assert r.evaluations == 3
     assert r.dual_bound - r.success <= 1e-15
+
+
+def mirror_points():
+    """theta in {0, 1e-300, pi/4, pi/2} x p in {0, p*(theta), 1/3, 1/2}, then
+    1000 seeded uniform points."""
+    for theta in (0.0, 1e-300, math.pi / 4, HALF_PI):
+        for p in (0.0, threshold_prior(theta), 1 / 3, 0.5):
+            yield theta, p
+    rng = np.random.default_rng(17)
+    yield from zip(rng.uniform(0.0, HALF_PI, 1000).tolist(), rng.uniform(0.0, 0.5, 1000).tolist())
+
+
+def test_optimize_three_builds_the_ensembles_kets_and_priors(monkeypatch):
+    seen = []
+
+    def active_set(kets, priors):
+        seen.append((kets, priors))
+        return solve(kets, priors)
+
+    solve = oracle._active_set
+    monkeypatch.setattr(oracle, "_active_set", active_set)
+    for theta, p in mirror_points():
+        ensemble = MirrorEnsemble(theta, p)
+        optimize_three(ensemble)
+        kets, priors = seen.pop()
+        expected_kets = np.array([s.ket for s in ensemble.states()])
+        expected_priors = np.array(ensemble.priors().probabilities)
+        for got, expected in ((kets, expected_kets), (priors, expected_priors)):
+            # bit for bit: tobytes tells -0.0 (the kets' sin(-0.0)) from 0.0
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+            assert got.tobytes() == expected.tobytes(), (theta, p)

@@ -1,13 +1,17 @@
 import collections.abc
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from mesd.analytic import MirrorEnsemble
 from mesd.ontic import FiniteOnticModel
-from mesd.oracle import optimize_two
+from mesd.oracle import optimize_three, optimize_two
 from mesd.qcore import (
+    EFFECT_MAX,
+    PSD_TOL,
     Effect,
     PriorDistribution,
     PureState,
@@ -243,3 +247,136 @@ def test_array_holding_values_are_unhashable(build, name):
     assert not isinstance(value, collections.abc.Hashable)
     with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
         hash(value)
+
+
+@pytest.mark.parametrize("entry", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entry_is_non_hermitian_without_a_warning(entry, bad):
+    matrix = np.eye(2)
+    matrix.flat[entry] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-Hermitian effect$"):
+            Effect(matrix)
+
+
+def test_skew_beyond_the_float_range_is_non_hermitian():
+    # |b - conj(c)| overflows: abs() of that complex would raise OverflowError
+    with pytest.raises(ValueError, match="^non-Hermitian effect$"):
+        Effect(np.array([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]]))
+
+
+# the member lam * v of the POVM {lam v, rest, rest}, complete within
+# COMPLETENESS_TOL, has its largest eigenvalue lam: the EFFECT_MAX edge
+_HALF = np.full((2, 2), 0.5)
+_REST = 0.25 * np.array([[1.0, -1.0], [-1.0, 1.0]]) - 0.99e-12 * _HALF
+
+
+class TestClosedFormBoundaries:
+    """Verdicts and messages at the edges of the closed-form 2x2 tests."""
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.0, -PSD_TOL]),
+        np.zeros((2, 2)),
+        np.diag([5e-324, 5e-324]),
+        np.full((2, 2), 1e-310),
+        np.array([[0.0, 5e-324], [5e-324, 0.0]]),
+        np.diag([-5e-324, 1.0]),
+        np.diag([1e300, 1e300]),
+        np.diag([1e300, 0.0]),
+        np.full((2, 2), 1e300),
+        np.array([[1e300, -1e300j], [1e300j, 1e300]]),
+    ], ids=["minus-psd-tol", "zero", "subnormal-diagonal", "subnormal-rank-one",
+            "subnormal-off-diagonal", "minus-subnormal", "1e300-diagonal",
+            "1e300-rank-one", "1e300-full", "1e300-complex"])
+    def test_accepted(self, matrix):
+        assert np.array_equal(Effect(matrix).matrix, matrix)
+
+    @pytest.mark.parametrize("matrix", [
+        np.diag([1.0, -1.0001e-12]),
+        np.array([[1e300, 1e300], [1e300, 0.0]]),
+        np.array([[1e160, 2e160], [2e160, 1e160]]),
+        np.array([[1e308, 1.5e308 - 1.5e308j], [1.5e308 + 1.5e308j, 1e308]]),
+    ], ids=["below-psd-tol", "1e300-indefinite", "1e160-indefinite", "off-diagonal-beyond-max"])
+    def test_rejected(self, matrix):
+        with pytest.raises(ValueError, match="^non-positive effect$"):
+            Effect(matrix)
+
+    @pytest.mark.parametrize("lam", [1.0 + 2.0005e-9, EFFECT_MAX])
+    def test_member_at_effect_max_accepted(self, lam):
+        assert len(validate_povm([lam * _HALF, _REST, _REST])) == 3
+
+    def test_member_above_effect_max_rejected(self):
+        with pytest.raises(ValueError, match="^oversized effect: an eigenvalue above 1$"):
+            validate_povm([(1.0 + 2.0015e-9) * _HALF, _REST, _REST])
+
+
+def _hermitian(lam_min, lam_max, angle, phase) -> np.ndarray:
+    """U diag(lam_min, lam_max) U^H for the unitary U fixed by angle and phase."""
+    c, s = math.cos(angle), math.sin(angle) * complex(math.cos(phase), math.sin(phase))
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    return u @ np.diag([lam_min, lam_max]) @ u.conj().T
+
+
+# an offset of lambda_min from -PSD_TOL, log-spread over [1e-15, 1]
+OFFSETS = st.builds(lambda sign, e, m: sign * m * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                    st.integers(-15, 0), st.floats(0.1, 1.0))
+PHASES = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(OFFSETS, st.floats(0.0, 2.0), st.floats(0.0, math.pi), PHASES)
+def test_positivity_verdict_matches_eigvalsh(offset, lam_max, angle, phase):
+    # margins below 1e-14 are inside eigvalsh's own rounding
+    matrix = _hermitian(-PSD_TOL + offset, lam_max, angle, phase)
+    lam_min = np.linalg.eigvalsh(matrix)[0]
+    assume(abs(lam_min + PSD_TOL) >= 1e-14)
+    try:
+        Effect(matrix)
+    except ValueError as error:
+        assert str(error) == "non-positive effect"
+        assert lam_min < -PSD_TOL
+    else:
+        assert lam_min >= -PSD_TOL
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e-12, 0.9e-12), st.floats(-1e-6, 1e-6), PHASES)
+def test_effect_max_verdict_matches_eigvalsh(offset, tilt, phase):
+    # a rank-one member lam |psi><psi| near pi/4, where it can reach
+    # EFFECT_MAX with the POVM still complete within COMPLETENESS_TOL:
+    # the sum misses I by (lam - 1 - 1.98e-12) / 2 <= 1e-9 in each entry
+    v = _hermitian(0.0, 1.0, math.pi / 4 + tilt, phase)
+    member = (EFFECT_MAX + offset) * v
+    rest = 0.5 * (np.eye(2) - v) - 0.99e-12 * v
+    lam_max = np.linalg.eigvalsh(member)[-1]
+    assume(abs(lam_max - EFFECT_MAX) >= 1e-14)
+    try:
+        validate_povm([member, rest, rest])
+    except ValueError as error:
+        assert str(error) == "oversized effect: an eigenvalue above 1"
+        assert lam_max > EFFECT_MAX
+    else:
+        assert lam_max <= EFFECT_MAX
+
+
+def test_checks_make_no_eigensolver_call(monkeypatch):
+    # oracle._certificate still calls eigvalsh, so the POVMs are found first
+    povms = [
+        optimize_two(make_state(0.0), make_state(0.5), 0.3).povm,
+        optimize_three(MirrorEnsemble(0.7, 0.2)).povm,
+        optimize_three(MirrorEnsemble(0.7, 0.45)).povm,
+    ]
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for povm in povms:
+        matrices = [e.matrix for e in povm.effects]
+        assert validate_povm(matrices) == povm
+        assert validate_povm([Effect(m) for m in matrices]) == povm
+    with pytest.raises(ValueError, match="non-positive effect"):
+        Effect(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="oversized effect"):
+        validate_povm([(1.0 + 2.0015e-9) * _HALF, _REST, _REST])
