@@ -32,7 +32,6 @@ import numpy as np
 from .analytic import MirrorEnsemble
 from .qcore import (
     COMPLETENESS_TOL,
-    TWO_PI,
     Povm,
     PriorDistribution,
     PureState,
@@ -42,6 +41,7 @@ from .qcore import (
 )
 
 _MAX_GRID_N = 2**20
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,9 @@ def optimize_two(
 ) -> OracleResult:
     """Maximize two-state success over projective measurements, with a certificate.
 
-    Uniform grid of grid_n angles over one projector period [0, pi).  The
+    Uniform grid of grid_n angles over one projector period [0, pi).  Each
+    state enters the grid as atan2 of its amplitudes, so the grid searches
+    the very kets `_verdict` certifies, however large the given angle.  The
     objective is a single harmonic in 2*angle, so the best grid value and
     its two neighbours fix the peak exactly; the peak is kept within one
     grid step of the best grid angle.  Returns the projective POVM at the
@@ -100,7 +102,7 @@ def optimize_two(
     if refine_iters < 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     priors = np.array(PriorDistribution((1.0 - p, p)).probabilities)
-    t1, t2 = s1.angle, s2.angle
+    t1, t2 = (math.atan2(y, x) for x, y in (s1.amplitudes, s2.amplitudes))
     alphas = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     values = p * np.sin(t2 - alphas) ** 2 + (1.0 - p) * np.cos(t1 - alphas) ** 2
     best = int(np.argmax(values))

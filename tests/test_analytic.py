@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from mesd.analytic import (
     ADVANTAGE_TOL,
-    BoundPair,
     MirrorEnsemble,
     TwoStateScenario,
     advantage_three,
@@ -333,10 +332,6 @@ class TestValidation:
             MirrorEnsemble(math.pi / 2 + 0.1, 0.3)
         with pytest.raises(ValueError):
             MirrorEnsemble(0.5, 0.6)
-
-    def test_bound_pair_gap_consistency(self):
-        with pytest.raises(ValueError):
-            BoundPair(quantum=0.9, noncontextual=0.8, gap=0.2)
 
     @pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2, math.pi / 2])
     def test_mirror_states_are_exact_mirrors(self, theta):

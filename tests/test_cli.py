@@ -322,6 +322,12 @@ class TestCmdOracle:
         assert code == 0
         assert json.loads(out)["difference"] <= 1e-4
 
+    def test_oracle_two_huge_separation(self, capsys):
+        # the grid and the certificate must see the same state at any angle
+        code, out = run(capsys, "oracle-two", "--sep-deg", "1e308", "--prior", "0.3")
+        assert code == 0
+        assert json.loads(out)["difference"] <= 1e-12
+
     def test_oracle_three_trine(self, capsys):
         code, out = run(capsys, "oracle-three", "--theta-deg", "60",
                         "--prior", "0.3333333", "--tol", "1e-3")

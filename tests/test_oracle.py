@@ -251,7 +251,9 @@ def reference_two(sep: float, p: float) -> float:
         return float((1 + mpmath.sqrt(1 - 4 * q * (1 - q) * c**2)) / 2)
 
 
-@pytest.mark.parametrize("sep", [0.0, 1e-12, 1e-6, 0.3, math.pi / 4, HALF_PI, 3.0])
+@pytest.mark.parametrize(
+    "sep", [0.0, 1e-12, 1e-6, 0.3, math.pi / 4, HALF_PI, 3.0, 1e15, 1e300]
+)
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 0.5 + 1e-9, 0.7, 1.0])
 def test_two_state_certificate_brackets_the_optimum(sep, p):
     r = optimize_two(make_state(0.0), make_state(sep), p)

@@ -40,9 +40,11 @@ class TestMakeState:
         with pytest.raises(ValueError):
             make_state(bad)
 
-    def test_angle_normalized(self):
-        assert make_state(-math.pi / 2).angle == pytest.approx(3 * math.pi / 2, abs=1e-12)
-        assert 0.0 <= make_state(17.3).angle < 2 * math.pi
+    def test_angle_kept_as_given(self):
+        for angle in (-math.pi / 2, 17.3, 1e300):
+            state = make_state(angle)
+            assert state.angle == angle
+            assert state.amplitudes == (math.cos(angle), math.sin(angle))
 
     @given(ANGLES)
     def test_unit_norm(self, angle):
@@ -188,8 +190,10 @@ class TestPriorDistribution:
             PriorDistribution((p, p, 1.0 - 2.0 * p))
 
 
-def test_pure_state_direct_construction_normalizes():
-    assert PureState(2 * math.pi + 0.25).angle == pytest.approx(0.25, abs=1e-12)
+def test_pure_state_direct_construction_keeps_angle():
+    wrapped = PureState(2 * math.pi + 0.25)
+    assert wrapped.angle == 2 * math.pi + 0.25
+    assert np.abs(wrapped.ket - PureState(0.25).ket).max() <= 1e-15
 
 
 def _unchecked_effect(matrix) -> Effect:
