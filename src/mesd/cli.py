@@ -8,9 +8,9 @@ Commands
     oracle-three same for the three-state task and its certified oracle
     ontic-check  run the finite-model inequality batch
 
-Exit codes: 0 ok, 2 invalid arguments, 3 I/O failure, 4 verification
-failed: oracle difference above `--tol`, or an ontic-check model failing a
-bound or the identity.  Output is deterministic: identical configuration
+Exit codes: 0 ok, 2 invalid arguments, 3 output not written (to `--out` or
+to stdout), 4 verification failed: oracle difference above `--tol`, or an
+ontic-check model failing a bound or the identity.  Output is deterministic: identical configuration
 gives byte-identical files.  `map` computes and writes theta-row slices of
 at most 256 cells, so its memory depends on neither axis of the grid.  Both
 of its formats render each slice with one `%`-template per cell: a CSV line,
@@ -32,7 +32,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,20 +66,20 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _io_error(out: str, exc: OSError) -> int:
-    print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-    return EXIT_IO
-
-
-def _emit(text: str, out: str | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _write(chunks: Iterable[str], out: str | None) -> int:
+    """Write the text `chunks` to the file `out` (utf-8, `\n` newlines), or
+    to stdout when `out` is None.  Any `OSError`, a closed stdout included, is
+    one `error:` line and `EXIT_IO`."""
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.writelines(chunks)  # looked up per call: it may be redirected
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
     except OSError as exc:
-        return _io_error(out, exc)
+        print(f"error: cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 
@@ -118,7 +118,7 @@ def cmd_two(args: argparse.Namespace) -> int:
         "gap": pair.gap,
         "advantage": pair.advantage,
     }
-    return _emit(_render_record(record, args.format), args.out)
+    return _write([_render_record(record, args.format)], args.out)
 
 
 def cmd_three(args: argparse.Namespace) -> int:
@@ -135,7 +135,7 @@ def cmd_three(args: argparse.Namespace) -> int:
         "gap": pair.gap,
         "advantage": pair.advantage,
     }
-    return _emit(_render_record(record, args.format), args.out)
+    return _write([_render_record(record, args.format)], args.out)
 
 
 def _csv_numbers(column: np.ndarray) -> list[float]:
@@ -212,12 +212,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         return _usage_error(f"--theta-steps must be >= 2, got {args.theta_steps}")
     if args.prior_steps < 2:
         return _usage_error(f"--prior-steps must be >= 2, got {args.prior_steps}")
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_map_chunks(args.theta_steps, args.prior_steps, args.format))
-    except OSError as exc:
-        return _io_error(args.out, exc)
-    return EXIT_OK
+    return _write(_map_chunks(args.theta_steps, args.prior_steps, args.format), args.out)
 
 
 def cmd_oracle_two(args: argparse.Namespace) -> int:
@@ -256,7 +251,7 @@ def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult])
         "difference": difference,
         "evaluations": result.evaluations,
     }
-    status = _emit(_render_record(record, args.format), args.out)
+    status = _write([_render_record(record, args.format)], args.out)
     if status != EXIT_OK:
         return status
     if difference > args.tol:
@@ -292,18 +287,20 @@ def cmd_ontic_check(args: argparse.Namespace) -> int:
             two_pass += int(two.passed.sum())
             three_pass += int(three.passed.sum())
             identity_pass += int(three.decomposition_passed.sum())
+    lines = []
     if n == 1:  # one model, one size group: `two` and `three` hold its checks
-        print(f"two-state: success={_fmt(two.success.item())} "
-              f"overlap={_fmt(two.overlaps.item())} "
-              f"bound={_fmt(two.bound.item())} passed={two.passed.item()}")
-        print(f"three-state: success={_fmt(three.success.item())} "
-              f"bound={_fmt(three.bound.item())} passed={three.passed.item()} "
-              f"decomposition_error={_fmt(three.decomposition_error.item())}")
-    print(f"two-state bound: {two_pass}/{n} pass")
-    print(f"three-state bound: {three_pass}/{n} pass")
-    print(f"decomposition identity: {identity_pass}/{n} pass")
-    all_pass = two_pass == n and three_pass == n and identity_pass == n
-    return EXIT_OK if all_pass else EXIT_TOLERANCE
+        lines += [f"two-state: success={_fmt(two.success.item())} "
+                  f"overlap={_fmt(two.overlaps.item())} "
+                  f"bound={_fmt(two.bound.item())} passed={two.passed.item()}\n",
+                  f"three-state: success={_fmt(three.success.item())} "
+                  f"bound={_fmt(three.bound.item())} passed={three.passed.item()} "
+                  f"decomposition_error={_fmt(three.decomposition_error.item())}\n"]
+    lines += [f"two-state bound: {two_pass}/{n} pass\n",
+              f"three-state bound: {three_pass}/{n} pass\n",
+              f"decomposition identity: {identity_pass}/{n} pass\n"]
+    status = _write(lines, None)
+    all_pass = two_pass == three_pass == identity_pass == n
+    return EXIT_TOLERANCE if status == EXIT_OK and not all_pass else status
 
 
 def degrees(text: str) -> float:

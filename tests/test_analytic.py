@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from mesd.analytic import (
     ADVANTAGE_TOL,
+    BoundPair,
     MirrorEnsemble,
     TwoStateScenario,
     advantage_three,
@@ -324,6 +325,14 @@ class TestValidation:
             TwoStateScenario(1.5, 0.2)
         with pytest.raises(ValueError):
             TwoStateScenario(0.5, -0.2)
+
+    @pytest.mark.parametrize("quantum,noncontextual,field", [
+        (1.5, 0.5, "quantum"),
+        (0.5, -0.1, "noncontextual"),
+    ])
+    def test_bound_pair_out_of_range(self, quantum, noncontextual, field):
+        with pytest.raises(ValueError, match=field):
+            BoundPair(quantum, noncontextual)
 
     def test_ensemble_out_of_range(self):
         with pytest.raises(ValueError):

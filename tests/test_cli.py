@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -67,6 +68,19 @@ class TestCmdTwo:
         captured = capsys.readouterr()
         assert code == 2
         assert "--prior" in captured.err
+
+    def test_overlap_out_of_range_exits_2(self, capsys):
+        code = main(["two", "--prior", "0.5", "--overlap", "1.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--overlap" in captured.err
+
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir" / "x.json"
+        assert main(["two", "--prior", "0.5", "--overlap", "0.5", "--out", str(missing)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {missing}")
+        assert captured.out == ""
 
     def test_csv_format(self, capsys):
         code, out = run(capsys, "two", "--prior", "0.5", "--overlap", "0.5",
@@ -224,7 +238,10 @@ class TestCmdMap:
         out = tmp_path / "grid.csv"
         assert main(["map", "--theta-steps", "1", "--prior-steps", "5",
                      "--out", str(out)]) == 2
-        capsys.readouterr()
+        assert main(["map", "--theta-steps", "5", "--prior-steps", "1",
+                     "--out", str(out)]) == 2
+        assert "--prior-steps" in capsys.readouterr().err
+        assert not out.exists()
 
 
     # Reference SHA-256 of the map bytes.  4x4 puts p = 1/3 = p*(0) on the
@@ -356,6 +373,21 @@ class TestCmdOracle:
                      "--refine-iters", "-1"]) == 2
         assert "refine_iters" in capsys.readouterr().err
 
+    def test_oracle_unwritable_out_exits_3_before_the_tol_check(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # always guess the first state: success 0.7 against the optimum 0.804,
+        # a difference above --tol that the failed write must preempt
+        off_target = oracle.OracleResult(0.7, validate_povm([np.eye(2), np.zeros((2, 2))]),
+                                         1, 0.9)
+        monkeypatch.setattr(oracle, "optimize_two", lambda *args, **kwargs: off_target)
+        missing = tmp_path / "no" / "such" / "dir" / "x.json"
+        code = main(["oracle-two", "--sep-deg", "30", "--prior", "0.3", "--tol", "1e-300",
+                     "--out", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: cannot write")
+        assert "exceeds" not in captured.err
+
 
     @pytest.mark.parametrize("command,angle", [
         ("oracle-two", ["--sep-deg", "30"]),
@@ -473,6 +505,17 @@ class TestCmdOnticCheck:
         assert "three-state bound: 0/3 pass" in out
         assert "decomposition identity: 3/3 pass" in out
 
+    def test_failed_write_exits_3_even_when_a_model_fails(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        self.fail_checks(monkeypatch, 2, "passed")
+        with contextlib.redirect_stdout(ClosedPipe()):
+            code = main(["ontic-check", "--num-models", "3", "--seed", "7"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: cannot write stdout")
+
     def test_failing_identity_exits_4(self, capsys, monkeypatch):
         self.fail_checks(monkeypatch, 3, "decomposition_passed")
         code, out = run(capsys, "ontic-check", "--num-models", "3", "--seed", "7")
@@ -509,3 +552,28 @@ class TestEntryPoints:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["advantage"] is True
+
+    # Python ignores SIGPIPE, so writing to a pipe whose read end is closed
+    # fails with EPIPE every time.
+    @pytest.mark.parametrize("argv", [
+        ["two", "--prior", "0.5", "--overlap", "0.5"],
+        ["three", "--theta-deg", "60", "--prior", "0.3"],
+        ["three", "--theta-deg", "60", "--prior", "0.3", "--format", "csv"],
+        ["oracle-two", "--sep-deg", "30", "--prior", "0.3"],
+        ["oracle-three", "--theta-deg", "60", "--prior", "0.3"],
+        ["ontic-check", "--num-models", "1"],
+        ["ontic-check", "--num-models", "3"],
+    ], ids=["two", "three-json", "three-csv", "oracle-two", "oracle-three",
+            "ontic-check-1", "ontic-check-3"])
+    def test_closed_stdout_exits_3(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "mesd", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+        assert "Traceback" not in proc.stderr

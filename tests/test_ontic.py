@@ -34,6 +34,10 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             model([[0.5, 0.5]], [0.5, 0.5])
 
+    def test_rejects_one_dimensional_distributions(self):
+        with pytest.raises(ValueError, match="2-D"):
+            FiniteOnticModel(np.array([0.5, 0.5]), PriorDistribution((1.0,)))
+
     def test_shape_properties(self):
         m = model([[0.25, 0.75], [0.5, 0.5]], [0.4, 0.6])
         assert m.num_preparations == 2

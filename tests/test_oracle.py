@@ -93,6 +93,17 @@ class TestSuccessTwo:
         with pytest.raises(ValueError):
             two_state_success(make_state(0.0), make_state(1.0), 1.2, 0.0)
 
+    def test_outcome_count_must_match_states(self):
+        povm = validate_povm(rank_one((1.0, 1.0, 0.0), (0.2, 0.2 + math.pi / 2, 0.0)))
+        with pytest.raises(ValueError, match="align"):
+            discrimination_success((make_state(0.0), make_state(1.0)),
+                                   PriorDistribution((0.5, 0.5)), povm)
+
+    def test_result_success_out_of_range(self):
+        povm = validate_povm([np.eye(2), np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="success"):
+            oracle.OracleResult(1.5, povm, 1, 1.5)
+
     @pytest.mark.parametrize("effects,angle", [
         ([np.diag([1.0 + 5e-10, 0.0]), np.diag([0.0, 1.0])], 0.0),
         ([(1.0 + 1.98e-9) * make_state(math.pi / 4).projector(),

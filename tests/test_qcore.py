@@ -125,6 +125,10 @@ class TestEffect:
         with pytest.raises(ValueError, match="non-positive effect"):
             Effect(np.array([[-0.5, 0.0], [0.0, 1.0]]))
 
+    def test_rejects_non_2x2(self):
+        with pytest.raises(ValueError, match="2x2"):
+            Effect(np.eye(3))
+
     def test_matrix_frozen(self):
         e = Effect(identity_matrix())
         with pytest.raises(ValueError):
@@ -233,6 +237,7 @@ def test_nan_rejected(build):
 def test_array_holding_values_compare_by_value(build):
     assert build(0.25) == build(0.25)
     assert build(0.25) != build(0.5)
+    assert (build(0.25) == 1) is False
 
 
 @pytest.mark.parametrize(
