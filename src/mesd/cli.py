@@ -8,16 +8,16 @@ Commands
     oracle-three same for the three-state task and its certified oracle
     ontic-check  run the finite-model inequality batch
 
-Exit codes: 0 ok, 2 invalid arguments, 3 output not written (to `--out` or
-to stdout), 4 verification failed: oracle difference above `--tol`, or an
-ontic-check model failing a bound or the identity.  Output is deterministic: identical configuration
-gives byte-identical files.  `map` computes and writes theta-row slices of
-at most 256 cells, so its memory depends on neither axis of the grid.  Both
-of its formats render each slice with one `%`-template per cell: a CSV line,
-or a JSON object laid out as `json.dumps(..., indent=2)` would place it.
-`ontic-check` draws and checks its models in chunks of at most 1024, one
-`ontic.check_models` call per ontic-space size in a chunk, so its memory
-does not depend on `--num-models`.
+Exit codes: 0 ok, 2 invalid arguments, 3 output not written (to `--out` or to
+stdout), 4 verification failed: oracle difference above `--tol`, or an
+ontic-check model failing a bound or the identity.  Output is deterministic:
+identical configuration gives byte-identical files.  `map` computes and
+writes theta-row slices of at most 256 cells, so its memory depends on
+neither axis of the grid.  Both of its formats render each slice with one
+`%`-template per cell: a CSV line, or a JSON object laid out as
+`json.dumps(..., indent=2)` would place it.  `ontic-check` draws and checks
+its models in chunks of at most 1024, one `ontic.check_models` call per
+ontic-space size in a chunk, so its memory does not depend on `--num-models`.
 
 Angles take radians (`--theta`, `--sep`) or degrees (`--theta-deg`,
 `--sep-deg`); `ontic-check --seed` must be >= 0.  Bad input exits 2 with
@@ -29,8 +29,10 @@ the library's `error:` line, e.g. `oracle-two` prints
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -67,9 +69,8 @@ def _usage_error(message: str) -> int:
 
 
 def _write(chunks: Iterable[str], out: str | None) -> int:
-    """Write the text `chunks` to the file `out` (utf-8, `\n` newlines), or
-    to stdout when `out` is None.  Any `OSError`, a closed stdout included, is
-    one `error:` line and `EXIT_IO`."""
+    """Write the text `chunks` to the file `out` (utf-8, `\n` newlines), or to
+    stdout when `out` is None.  Any `OSError` is one `error:` line and `EXIT_IO`."""
     try:
         if out is None:
             sys.stdout.writelines(chunks)  # looked up per call: it may be redirected
@@ -78,7 +79,13 @@ def _write(chunks: Iterable[str], out: str | None) -> int:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
     except OSError as exc:
-        print(f"error: cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {'stdout' if out is None else out}: {exc}",
+              file=sys.stderr)
+        if out is None:  # stdout's buffer keeps the bytes; send its flush at exit to devnull
+            with contextlib.suppress(OSError, ValueError):  # no descriptor: StringIO, capsys
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
         return EXIT_IO
     return EXIT_OK
 
@@ -252,15 +259,11 @@ def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult])
         "evaluations": result.evaluations,
     }
     status = _write([_render_record(record, args.format)], args.out)
-    if status != EXIT_OK:
-        return status
-    if difference > args.tol:
-        print(
-            f"error: |oracle - analytic| = {difference!r} exceeds --tol {args.tol!r}",
-            file=sys.stderr,
-        )
+    if status == EXIT_OK and difference > args.tol:
+        print(f"error: |oracle - analytic| = {difference!r} exceeds --tol {args.tol!r}",
+              file=sys.stderr)
         return EXIT_TOLERANCE
-    return EXIT_OK
+    return status
 
 
 def cmd_ontic_check(args: argparse.Namespace) -> int:
@@ -287,17 +290,16 @@ def cmd_ontic_check(args: argparse.Namespace) -> int:
             two_pass += int(two.passed.sum())
             three_pass += int(three.passed.sum())
             identity_pass += int(three.decomposition_passed.sum())
-    lines = []
+    lines = [f"two-state bound: {two_pass}/{n} pass\n",
+             f"three-state bound: {three_pass}/{n} pass\n",
+             f"decomposition identity: {identity_pass}/{n} pass\n"]
     if n == 1:  # one model, one size group: `two` and `three` hold its checks
-        lines += [f"two-state: success={_fmt(two.success.item())} "
-                  f"overlap={_fmt(two.overlaps.item())} "
-                  f"bound={_fmt(two.bound.item())} passed={two.passed.item()}\n",
-                  f"three-state: success={_fmt(three.success.item())} "
-                  f"bound={_fmt(three.bound.item())} passed={three.passed.item()} "
-                  f"decomposition_error={_fmt(three.decomposition_error.item())}\n"]
-    lines += [f"two-state bound: {two_pass}/{n} pass\n",
-              f"three-state bound: {three_pass}/{n} pass\n",
-              f"decomposition identity: {identity_pass}/{n} pass\n"]
+        lines[:0] = [f"two-state: success={_fmt(two.success.item())} "
+                     f"overlap={_fmt(two.overlaps.item())} "
+                     f"bound={_fmt(two.bound.item())} passed={two.passed.item()}\n",
+                     f"three-state: success={_fmt(three.success.item())} "
+                     f"bound={_fmt(three.bound.item())} passed={three.passed.item()} "
+                     f"decomposition_error={_fmt(three.decomposition_error.item())}\n"]
     status = _write(lines, None)
     all_pass = two_pass == three_pass == identity_pass == n
     return EXIT_TOLERANCE if status == EXIT_OK and not all_pass else status

@@ -554,7 +554,9 @@ class TestEntryPoints:
         assert json.loads(out.read_text())["advantage"] is True
 
     # Python ignores SIGPIPE, so writing to a pipe whose read end is closed
-    # fails with EPIPE every time.
+    # fails with EPIPE every time.  The child runs without PYTHONUNBUFFERED:
+    # a buffered stdout keeps the unwritten bytes and flushes them again at
+    # exit, which is the case the writer must also survive.
     @pytest.mark.parametrize("argv", [
         ["two", "--prior", "0.5", "--overlap", "0.5"],
         ["three", "--theta-deg", "60", "--prior", "0.3"],
@@ -569,11 +571,27 @@ class TestEntryPoints:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
             proc = subprocess.run([sys.executable, "-m", "mesd", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, text=True)
+                                  stderr=subprocess.PIPE, text=True, env=env)
         finally:
             os.close(write_end)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write")
         assert "Traceback" not in proc.stderr
+
+    # Writing to /dev/full fails with ENOSPC, which a buffered stream reports
+    # only when it flushes: at `--out`'s close, or at stdout's flush.
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+    def test_full_device_exits_3(self, to_out):
+        argv = [sys.executable, "-m", "mesd", "two", "--prior", "0.5", "--overlap", "0.5"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv + ["--out", "/dev/full"] if to_out else argv,
+                                  stdout=subprocess.DEVNULL if to_out else full,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write")
