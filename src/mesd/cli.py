@@ -12,10 +12,11 @@ Exit codes: 0 ok, 2 invalid arguments, 3 output not written (to `--out` or to
 stdout), 4 verification failed: oracle difference above `--tol`, or an
 ontic-check model failing a bound or the identity.  Output is deterministic:
 identical configuration gives byte-identical files.  `map` computes and
-writes theta-row slices of at most 256 cells, so its memory depends on
-neither axis of the grid.  Both of its formats render each slice with one
-`%`-template per cell: a CSV line, or a JSON object laid out as
-`json.dumps(..., indent=2)` would place it.  `ontic-check` draws and checks
+writes theta-row slices of at most 256 cells, each rendered with one `%`
+of a slice-wide template built once per map: the cell template (a CSV line,
+or a JSON object laid out as `json.dumps(..., indent=2)` would place it)
+joined once per cell.  The prior column, rendered once per map, is all its
+memory holds per prior, about 80 bytes.  `ontic-check` draws and checks
 its models in chunks of at most 1024, one `ontic.check_models` call per
 ontic-space size in a chunk, so its memory does not depend on `--num-models`.
 
@@ -46,7 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
-_MAP_CHUNK = 256  # cells per piece of the map file; bounds its memory on any grid
+_MAP_CHUNK = 256  # cells per piece of the map file; bounds the memory of a piece
 _ONTIC_CHUNK = 1024  # models drawn, then checked, at a time; bounds memory on any count
 _MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
 
@@ -153,24 +154,32 @@ def _csv_numbers(column: np.ndarray) -> list[float]:
 
 def _json_numbers(column: np.ndarray) -> list[str]:
     """`json.dumps(_fmt_num(v))` for each finite v of `column`: the shortest
-    round-trip of its 9-significant-digit value, so 1 reads `1.0`."""
-    return [repr(float("%.9g" % v)) for v in (column + 0.0).tolist()]
+    round-trip of its 9-significant-digit value, so 1 reads `1.0`.
+
+    That is the `%.9g` text, with `.0` appended if it has neither `.` nor
+    `e`: any decimal of at most 15 digits round-trips, so no shorter one
+    reads the same float.  Where the text's exponent is 9 to 15 (`repr`
+    writes `1e+09` as `1000000000.0`) or -308 and below (subnormals hold
+    fewer digits), it is `repr(float(text))` instead."""
+    return [t if "e" not in t and "." in t else _json_text(t)
+            for t in map("%.9g".__mod__, (column + 0.0).tolist())]
 
 
-def _cell_slots(number: str) -> list[str]:
-    """The `%` slots of a map cell in `_MAP_FIELDS` order.  theta's is live and
-    the rest are escaped, so one `%` per theta-row fills theta in and leaves
-    that row's cell template."""
-    return [number, *["%" + number] * 4, "%%s"]
+def _json_text(text: str) -> str:
+    """`_json_numbers`' rule for a `%.9g` text that has an `e` or no `.`."""
+    if "e" not in text:
+        return text + ".0"
+    exponent = int(text.partition("e")[2])
+    return repr(float(text)) if 9 <= exponent <= 15 or exponent <= -308 else text
 
 
-# Per map format: the cell template, the renderer of a number column for its
-# number slots, and the separator between cells.  JSON cells are objects at
-# depth 2 of the payload, as `json.dumps(..., indent=2)` lays them out.
+# Per map format: the number slot, the cell template (theta, prior and the
+# flag take text), the renderer of a number column, and the separator between
+# cells.  JSON cells are objects at depth 2 of the payload, as
+# `json.dumps(..., indent=2)` lays them out.
 _MAP_CELLS = {
-    "csv": (",".join(_cell_slots("%.9g")) + "\n", _csv_numbers, ""),
-    "json": ("\n    {" + ",".join(f"\n      {json.dumps(k)}: {slot}"
-                                  for k, slot in zip(_MAP_FIELDS, _cell_slots("%s")))
+    "csv": ("%.9g", "%s,%s,%.9g,%.9g,%.9g,%s\n", _csv_numbers, ""),
+    "json": ("%s", "\n    {" + ",".join(f"\n      {json.dumps(k)}: %s" for k in _MAP_FIELDS)
              + "\n    }", _json_numbers, ","),
 }
 
@@ -193,23 +202,29 @@ def _map_frame(theta_steps: int, prior_steps: int, fmt: str) -> tuple[str, str]:
 def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     """The map file in pieces of at most `_MAP_CHUNK` cells, theta-major,
     between the text of `_map_frame`.  Each piece is one slice of a theta-row,
-    computed by `analytic.advantage_three_row` and rendered with one
-    `%`-template per cell."""
+    computed by `analytic.advantage_three_row` and rendered with one `%` of
+    its length's template from a flat tuple, cell by cell.  The templates
+    and the prior texts are made once per map."""
     head, tail = _map_frame(theta_steps, prior_steps, fmt)
-    cell, numbers, separator = _MAP_CELLS[fmt]
+    number, cell, numbers, separator = _MAP_CELLS[fmt]
+    priors = [0.5 * np.arange(start, min(start + _MAP_CHUNK, prior_steps)) / (prior_steps - 1)
+              for start in range(0, prior_steps, _MAP_CHUNK)]
+    slices = [(prior, [number % v for v in numbers(prior)]) for prior in priors]
+    templates = {len(prior): separator.join([cell] * len(prior)) for prior in priors}
     yield head
     lead = ""
     for i in range(theta_steps):
         theta = (math.pi / 2.0) * i / (theta_steps - 1)
-        template = cell % numbers(np.array([theta]))[0]
-        for start in range(0, prior_steps, _MAP_CHUNK):
-            j = np.arange(start, min(start + _MAP_CHUNK, prior_steps))
-            prior = 0.5 * j / (prior_steps - 1)
-            columns = (prior, *analytic.advantage_three_row(theta, prior))
-            flags = [("false", "true")[a]
-                     for a in (columns[3] > analytic.ADVANTAGE_TOL).tolist()]
-            yield lead + separator.join(map(template.__mod__,
-                                            zip(*map(numbers, columns), flags)))
+        theta_text = number % numbers(np.array([theta]))[0]
+        for prior, prior_numbers in slices:
+            quantum, nc, gap = analytic.advantage_three_row(theta, prior)
+            flat = [theta_text] * (6 * len(prior))
+            flat[1::6] = prior_numbers
+            flat[2::6] = numbers(quantum)
+            flat[3::6] = numbers(nc)
+            flat[4::6] = numbers(gap)
+            flat[5::6] = [("false", "true")[a] for a in (gap > analytic.ADVANTAGE_TOL).tolist()]
+            yield lead + templates[len(prior)] % tuple(flat)
             lead = separator
     yield tail
 

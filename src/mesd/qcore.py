@@ -135,9 +135,12 @@ def born_probability(state: PureState, effect: Effect) -> float:
     The raw trace may leave [0, 1] only by float noise: PSD_TOL below, and up
     to EFFECT_MAX above, the largest eigenvalue `Povm` accepts in a member.
     Anything farther out is rejected; the value is clamped into [0, 1].
+    The amplitudes (x, y) are real, so the trace is
+    x*x*Re a + x*y*Re(b + c) + y*y*Re d of the effect [[a, b], [c, d]].
     """
-    k = state.ket.astype(complex)
-    value = float(np.real(k.conj() @ effect.matrix @ k))
+    x, y = state.amplitudes
+    a, b, c, d = effect.matrix.ravel().tolist()
+    value = x * x * a.real + x * y * (b + c).real + y * y * d.real
     if not -PSD_TOL <= value <= EFFECT_MAX:
         raise ValueError(
             f"effect gives Born weight {value!r} outside [0, 1]: invalid effect"

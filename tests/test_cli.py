@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from mesd import analytic, ontic, oracle
 from mesd.analytic import MirrorEnsemble
-from mesd.cli import _fmt_num, _json_numbers, _json_obj, main
+from mesd.cli import _fmt, _fmt_num, _json_numbers, _json_obj, main
 from mesd.qcore import validate_povm
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
@@ -301,12 +301,52 @@ class TestCmdMap:
         capsys.readouterr()
         assert out.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("prior_steps", [257, 600])
+    def test_bytes_match_cell_by_cell_reference_across_slices(self, tmp_path, capsys,
+                                                              fmt, prior_steps):
+        # Theta-rows of 256+1 and 256+256+88 cells, each cell from scalar
+        # `advantage_three`: a CSV line of `_fmt` fields, or a `_json_obj`
+        # record in one `json.dumps(..., indent=2)` of the payload.
+        records = []
+        for i in range(3):
+            theta = (math.pi / 2.0) * i / 2
+            for j in range(prior_steps):
+                prior = 0.5 * j / (prior_steps - 1)
+                pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
+                records.append({"theta": theta, "prior": prior, "s_quantum": pair.quantum,
+                                "s_nc_bound": pair.noncontextual, "gap": pair.gap,
+                                "advantage": pair.advantage})
+        if fmt == "csv":
+            expected = MAP_HEADER + "\n" + "".join(
+                ",".join([*map(_fmt, list(r.values())[:5]), str(r["advantage"]).lower()]) + "\n"
+                for r in records)
+        else:
+            config = {"command": "map", "theta_steps": 3,
+                      "prior_steps": prior_steps, "format": "json"}
+            expected = json.dumps({"config": config,
+                                   "cells": [_json_obj(r) for r in records]}, indent=2) + "\n"
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["map", "--theta-steps", "3", "--prior-steps", str(prior_steps),
+                     "--out", str(out), "--format", fmt]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == expected.encode()
+
     @pytest.mark.parametrize("value", [
         -0.0, 0.0, 1.0, 0.99999999996,
         1e-5, 1.5e-05, 1.11022302e-16, 5e-324, 2.2250738585072014e-308,
         123456789.0, 1e9, 1234567890.5, 1e16, 1e22,
+        # The edges of the `%.9g` fast path: just below the smallest normal
+        # float, around 1e9 (999999999.5 and nextafter(1e9, 0) render as
+        # `1e+09`), and just below 1.
+        math.nextafter(2.2250738585072014e-308, 0.0), 999999999.4, 999999999.5,
+        math.nextafter(1e9, 0.0), 0.9999999995,
     ])
     def test_json_number_renderer_matches_json_dumps(self, value):
+        assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_json_number_renderer_matches_json_dumps_on_every_float(self, value):
         assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
