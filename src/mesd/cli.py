@@ -8,9 +8,9 @@ Commands
     oracle-three same for the three-state task and its certified oracle
     ontic-check  run the finite-model inequality batch
 
-Exit codes: 0 ok, 2 invalid arguments, 3 output not written (to `--out` or to
-stdout), 4 verification failed: oracle difference above `--tol`, or an
-ontic-check model failing a bound or the identity.  Output is deterministic:
+Exit codes: 0 ok, 2 invalid arguments, 3 output not written, 4 verification
+failed: oracle difference above `--tol`, or an ontic-check model failing a
+bound or the identity.  Output is deterministic:
 identical configuration gives byte-identical files.  `map` computes and
 writes theta-row slices of at most 256 cells, each rendered with one `%`
 of a slice-wide template built once per map: the cell template (a CSV line,
@@ -21,10 +21,13 @@ its models in chunks of at most 1024, one `ontic.check_models` call per
 ontic-space size in a chunk, so its memory does not depend on `--num-models`.
 
 Angles take radians (`--theta`, `--sep`) or degrees (`--theta-deg`,
-`--sep-deg`); `ontic-check --seed` must be >= 0.  Bad input exits 2 with
-the library's `error:` line, e.g. `oracle-two` prints
-`error: state angle must be finite, got nan` or
-`error: prior_p must lie in [0, 1], got 1.5`.
+`--sep-deg`); `ontic-check --seed` must be >= 0.  `main` is the one input
+boundary: a command's flag check and a library type's domain check raise
+`ValueError` (e.g. `state angle must be finite, got nan`), which only
+`main` prints, as one `error:` line, and turns into exit 2.
+`_write` owns every write failure, one `error: cannot write …` line and
+exit 3: an `OSError`, no stdout (fd 1 closed at start), a closed stream,
+or an `--out` path that `open` rejects (`embedded null byte`).
 """
 
 from __future__ import annotations
@@ -64,26 +67,24 @@ def _fmt_num(x: float) -> float:
     return float(_fmt(x))
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _write(chunks: Iterable[str], out: str | None) -> int:
     """Write the text `chunks` to the file `out` (utf-8, `\n` newlines), or to
-    stdout when `out` is None.  Any `OSError` is one `error:` line and `EXIT_IO`."""
+    stdout when `out` is None.  Any write failure, `ValueError`s included (a
+    closed stream, a path `open` rejects), is one `error:` line and `EXIT_IO`."""
     try:
         if out is None:
+            if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
+                raise OSError("fd 1 is closed")
             sys.stdout.writelines(chunks)  # looked up per call: it may be redirected
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot write {'stdout' if out is None else out}: {exc}",
               file=sys.stderr)
         if out is None:  # stdout's buffer keeps the bytes; send its flush at exit to devnull
-            with contextlib.suppress(OSError, ValueError):  # no descriptor: StringIO, capsys
+            with contextlib.suppress(OSError, ValueError, AttributeError):  # None, StringIO
                 fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, fd)
                 os.close(devnull)
@@ -114,9 +115,9 @@ def _render_record(record: dict, fmt: str) -> str:
 
 def cmd_two(args: argparse.Namespace) -> int:
     if not 0.0 <= args.prior <= 1.0:
-        return _usage_error(f"--prior must lie in [0, 1], got {args.prior}")
+        raise ValueError(f"--prior must lie in [0, 1], got {args.prior}")
     if not 0.0 <= args.overlap <= 1.0:
-        return _usage_error(f"--overlap must lie in [0, 1], got {args.overlap}")
+        raise ValueError(f"--overlap must lie in [0, 1], got {args.overlap}")
     pair = analytic.advantage_two(
         TwoStateScenario(prior_p=args.prior, confusability_c=args.overlap)
     )
@@ -130,10 +131,7 @@ def cmd_two(args: argparse.Namespace) -> int:
 
 
 def cmd_three(args: argparse.Namespace) -> int:
-    try:
-        ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
     pair = analytic.advantage_three(ensemble)
     record = {
         "threshold_prior": analytic.threshold_prior(args.theta),
@@ -231,28 +229,22 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
 
 def cmd_map(args: argparse.Namespace) -> int:
     if args.theta_steps < 2:
-        return _usage_error(f"--theta-steps must be >= 2, got {args.theta_steps}")
+        raise ValueError(f"--theta-steps must be >= 2, got {args.theta_steps}")
     if args.prior_steps < 2:
-        return _usage_error(f"--prior-steps must be >= 2, got {args.prior_steps}")
+        raise ValueError(f"--prior-steps must be >= 2, got {args.prior_steps}")
     return _write(_map_chunks(args.theta_steps, args.prior_steps, args.format), args.out)
 
 
 def cmd_oracle_two(args: argparse.Namespace) -> int:
-    try:
-        s2 = make_state(args.sep)
-        scenario = TwoStateScenario(prior_p=args.prior, confusability_c=math.cos(args.sep) ** 2)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    s2 = make_state(args.sep)
+    scenario = TwoStateScenario(prior_p=args.prior, confusability_c=math.cos(args.sep) ** 2)
     return _run_oracle(analytic.helstrom_two(scenario), args, lambda: oracle.optimize_two(
         make_state(0.0), s2, args.prior, grid_n=args.grid_n, refine_iters=args.refine_iters
     ))
 
 
 def cmd_oracle_three(args: argparse.Namespace) -> int:
-    try:
-        ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
     return _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(
         ensemble, grid_n=args.grid_n, refine_iters=args.refine_iters, seed=args.seed
     ))
@@ -261,11 +253,8 @@ def cmd_oracle_three(args: argparse.Namespace) -> int:
 def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult]) -> int:
     """Check --tol, run the solver and report its difference from `expected`."""
     if not 0.0 < args.tol < math.inf:
-        return _usage_error(f"--tol must be finite and positive, got {args.tol}")
-    try:
-        result = solve()
-    except ValueError as exc:
-        return _usage_error(str(exc))
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    result = solve()
     difference = abs(result.success - expected)
     record = {
         "analytic": expected,
@@ -283,9 +272,9 @@ def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult])
 
 def cmd_ontic_check(args: argparse.Namespace) -> int:
     if args.num_models < 1:
-        return _usage_error(f"--num-models must be >= 1, got {args.num_models}")
+        raise ValueError(f"--num-models must be >= 1, got {args.num_models}")
     if args.seed < 0:
-        return _usage_error(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     n = args.num_models
     two_pass = three_pass = identity_pass = 0
@@ -399,12 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         return int(exc.code or 0)
-    return args.func(args)
+    except ValueError as exc:  # a flag check or a library type's domain: bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 States live on the great circle of the Bloch sphere spanned by the real
 combinations of |0> and |1>, so a single angle fixes a state.  Effects and
-POVMs are kept as full 2x2 complex matrices so the Born rule stays generic.
+POVMs are kept as full 2x2 complex matrices, and validated as such, but the
+Born rule on these real kets reads only their real parts.
 
 Effects and POVMs are checked in closed form, without an eigensolver.  Of a
 matrix [[a, b], [c, d]] the positivity tests read the lower triangle a, c, d,

@@ -349,20 +349,29 @@ class TestCmdMap:
     def test_json_number_renderer_matches_json_dumps_on_every_float(self, value):
         assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_memory_does_not_grow_with_prior_steps(self, tmp_path, fmt):
-        # 8000 cells in two theta-rows; a whole row held at once peaks
-        # at several MB.
-        out = tmp_path / f"grid.{fmt}"
+    @staticmethod
+    def traced_peak(out: Path, theta_steps: int, prior_steps: int, fmt: str) -> int:
+        """Peak bytes traced by `tracemalloc` over one map run to `out`."""
         tracemalloc.start()
         try:
-            code = main(["map", "--theta-steps", "2", "--prior-steps", "4000",
-                         "--out", str(out), "--format", fmt])
+            code = main(["map", "--theta-steps", str(theta_steps), "--prior-steps",
+                         str(prior_steps), "--out", str(out), "--format", fmt])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
+        return peak
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_grows_only_with_the_prior_column(self, tmp_path, fmt):
+        # The map holds one slice and its rendered prior column, about 80
+        # bytes a prior; a whole theta-row held at once peaks at several MB.
+        out = tmp_path / f"grid.{fmt}"
+        self.traced_peak(out, 2, 2, fmt)  # first-run allocations, ~0.17 MB, stay out of the peaks
+        peak = self.traced_peak(out, 2, 4000, fmt)
         assert peak < 1.5e6
+        assert self.traced_peak(out, 2, 8000, fmt) - peak <= 4000 * 100
+        assert abs(self.traced_peak(out, 20, 4000, fmt) - peak) <= 64 * 1024
 
 
 class TestCmdOracle:
@@ -620,6 +629,34 @@ class TestEntryPoints:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write")
         assert "Traceback" not in proc.stderr
+
+    # With fd 1 closed at start, Python sets `sys.stdout` to None.
+    @pytest.mark.parametrize("argv", [
+        ["two", "--prior", "0.5", "--overlap", "0.5"],
+        ["ontic-check", "--num-models", "3"],
+    ], ids=["two", "ontic-check"])
+    def test_missing_stdout_exits_3(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "mesd", *argv], stderr=subprocess.PIPE,
+                              text=True, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout")
+        assert "Traceback" not in proc.stderr
+
+    def test_closed_stream_exits_3(self, capsys):
+        closed = io.StringIO()
+        closed.close()
+        with contextlib.redirect_stdout(closed):
+            code = main(["two", "--prior", "0.5", "--overlap", "0.5"])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout")
+
+    def test_out_path_that_open_rejects_exits_3(self, capsys):
+        # `open` raises ValueError, not OSError, for a path with a null byte
+        assert main(["two", "--prior", "0.5", "--overlap", "0.5", "--out", "a\0b"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write a\0b")
 
     # Writing to /dev/full fails with ENOSPC, which a buffered stream reports
     # only when it flushes: at `--out`'s close, or at stdout's flush.

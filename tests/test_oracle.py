@@ -11,6 +11,7 @@ from mesd.analytic import (
     TwoStateScenario,
     helstrom_two,
     quantum_three,
+    quantum_three_branch,
     threshold_prior,
 )
 from mesd.oracle import discrimination_success, optimize_three, optimize_two
@@ -455,6 +456,19 @@ def test_active_set_on_two_kets_and_the_trine():
     trine = solve_kets((math.pi / 3, -math.pi / 3, 0.0), (1 / 3, 1 / 3, 1 / 3))
     assert trine.success == pytest.approx(2 / 3, abs=1e-15)
     assert trine.dual_bound - trine.success <= 1e-15
+
+
+def test_active_set_winner_has_the_closed_form_support():
+    # The interior of a 121 x 121 mirror grid; on its 480 edge cells
+    # (theta in {0, pi/2} or p in {0, 1/2}) two kets coincide or a prior vanishes.
+    for theta in (HALF_PI * i / 120 for i in range(1, 120)):
+        c, s = math.cos(theta), math.sin(theta)
+        kets = np.array([(c, s), (c, -s), (1.0, 0.0)])
+        for p in (0.5 * j / 120 for j in range(1, 120)):
+            effects, _, _ = oracle._active_set(kets, np.array([p, p, 1.0 - 2.0 * p]))
+            support = {i + 1 for i in range(3) if effects[i].any()}
+            branch = quantum_three_branch(MirrorEnsemble(theta, p))
+            assert support == ({1, 2} if branch == "high-prior" else {1, 2, 3}), (theta, p)
 
 
 def test_third_state_is_guessed_only_below_the_threshold_prior():
