@@ -9,25 +9,25 @@ Commands
     ontic-check  run the finite-model inequality batch
 
 Exit codes: 0 ok, 2 invalid arguments, 3 output not written, 4 verification
-failed: oracle difference above `--tol`, or an ontic-check model failing a
-bound or the identity.  Output is deterministic:
-identical configuration gives byte-identical files.  `map` computes and
-writes theta-row slices of at most 256 cells, each rendered with one `%`
-of a slice-wide template built once per map: the cell template (a CSV line,
-or a JSON object laid out as `json.dumps(..., indent=2)` would place it)
-joined once per cell.  The prior column, rendered once per map, is all its
-memory holds per prior, about 80 bytes.  `ontic-check` draws and checks
-its models in chunks of at most 1024, one `ontic.check_models` call per
-ontic-space size in a chunk, so its memory does not depend on `--num-models`.
+failed.  `main` is the one exit boundary: it alone writes an `error:` line,
+one per nonzero exit after parsing (argparse's usage errors keep argparse's
+own text).  A flag check or a library type raises `ValueError` (exit 2).
+A failed write raises `_Failure` with exit 3: an `OSError`, no stdout, a
+closed stream, or an `--out` path that `open` rejects.  An oracle difference
+above `--tol` and an ontic-check model failing a bound or the identity raise
+it with exit 4, after their output is written.  A closed, missing or broken
+stderr drops the line and keeps the code.
 
-Angles take radians (`--theta`, `--sep`) or degrees (`--theta-deg`,
-`--sep-deg`); `ontic-check --seed` must be >= 0.  `main` is the one input
-boundary: a command's flag check and a library type's domain check raise
-`ValueError` (e.g. `state angle must be finite, got nan`), which only
-`main` prints, as one `error:` line, and turns into exit 2.
-`_write` owns every write failure, one `error: cannot write …` line and
-exit 3: an `OSError`, no stdout (fd 1 closed at start), a closed stream,
-or an `--out` path that `open` rejects (`embedded null byte`).
+Output is deterministic: identical configuration gives byte-identical files.
+`map` computes and writes theta-row slices of at most 256 cells, each
+rendered with one `%` of a slice-wide template built once per map: the cell
+template (a CSV line, or a JSON object laid out as `json.dumps(..., indent=2)`
+would place it) joined once per cell.  The prior column, rendered once per
+map, is all its memory holds per prior, about 80 bytes.  `ontic-check` draws
+and checks its models in chunks of at most 1024, one `ontic.check_models`
+call per ontic-space size in a chunk, so its memory does not depend on
+`--num-models`.  Angles take radians (`--theta`, `--sep`) or degrees
+(`--theta-deg`, `--sep-deg`); `ontic-check --seed` must be >= 0.
 """
 
 from __future__ import annotations
@@ -67,10 +67,23 @@ def _fmt_num(x: float) -> float:
     return float(_fmt(x))
 
 
-def _write(chunks: Iterable[str], out: str | None) -> int:
+class _Failure(Exception):
+    """A command's failure after its input was accepted: `(exit code, message)`."""
+
+
+def _discard(stream) -> None:
+    """Point a failed standard stream's descriptor at devnull: its buffer keeps
+    the unwritten bytes, and their flush at exit would fail again (exit 120)."""
+    with contextlib.suppress(OSError, ValueError, AttributeError):  # None, StringIO
+        fd, devnull = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write the text `chunks` to the file `out` (utf-8, `\n` newlines), or to
     stdout when `out` is None.  Any write failure, `ValueError`s included (a
-    closed stream, a path `open` rejects), is one `error:` line and `EXIT_IO`."""
+    closed stream, a path `open` rejects), raises `_Failure` with `EXIT_IO`."""
     try:
         if out is None:
             if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
@@ -81,15 +94,9 @@ def _write(chunks: Iterable[str], out: str | None) -> int:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(chunks)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot write {'stdout' if out is None else out}: {exc}",
-              file=sys.stderr)
-        if out is None:  # stdout's buffer keeps the bytes; send its flush at exit to devnull
-            with contextlib.suppress(OSError, ValueError, AttributeError):  # None, StringIO
-                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
-        return EXIT_IO
-    return EXIT_OK
+        if out is None:
+            _discard(sys.stdout)
+        raise _Failure(EXIT_IO, f"cannot write {'stdout' if out is None else out}: {exc}")
 
 
 def _csv_row(record: dict) -> str:
@@ -113,7 +120,7 @@ def _render_record(record: dict, fmt: str) -> str:
     return json.dumps(_json_obj(record), indent=2) + "\n"
 
 
-def cmd_two(args: argparse.Namespace) -> int:
+def cmd_two(args: argparse.Namespace) -> None:
     if not 0.0 <= args.prior <= 1.0:
         raise ValueError(f"--prior must lie in [0, 1], got {args.prior}")
     if not 0.0 <= args.overlap <= 1.0:
@@ -127,10 +134,10 @@ def cmd_two(args: argparse.Namespace) -> int:
         "gap": pair.gap,
         "advantage": pair.advantage,
     }
-    return _write([_render_record(record, args.format)], args.out)
+    _write([_render_record(record, args.format)], args.out)
 
 
-def cmd_three(args: argparse.Namespace) -> int:
+def cmd_three(args: argparse.Namespace) -> None:
     ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
     pair = analytic.advantage_three(ensemble)
     record = {
@@ -141,7 +148,7 @@ def cmd_three(args: argparse.Namespace) -> int:
         "gap": pair.gap,
         "advantage": pair.advantage,
     }
-    return _write([_render_record(record, args.format)], args.out)
+    _write([_render_record(record, args.format)], args.out)
 
 
 def _csv_numbers(column: np.ndarray) -> list[float]:
@@ -227,30 +234,30 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     yield tail
 
 
-def cmd_map(args: argparse.Namespace) -> int:
+def cmd_map(args: argparse.Namespace) -> None:
     if args.theta_steps < 2:
         raise ValueError(f"--theta-steps must be >= 2, got {args.theta_steps}")
     if args.prior_steps < 2:
         raise ValueError(f"--prior-steps must be >= 2, got {args.prior_steps}")
-    return _write(_map_chunks(args.theta_steps, args.prior_steps, args.format), args.out)
+    _write(_map_chunks(args.theta_steps, args.prior_steps, args.format), args.out)
 
 
-def cmd_oracle_two(args: argparse.Namespace) -> int:
+def cmd_oracle_two(args: argparse.Namespace) -> None:
     s2 = make_state(args.sep)
     scenario = TwoStateScenario(prior_p=args.prior, confusability_c=math.cos(args.sep) ** 2)
-    return _run_oracle(analytic.helstrom_two(scenario), args, lambda: oracle.optimize_two(
+    _run_oracle(analytic.helstrom_two(scenario), args, lambda: oracle.optimize_two(
         make_state(0.0), s2, args.prior, grid_n=args.grid_n, refine_iters=args.refine_iters
     ))
 
 
-def cmd_oracle_three(args: argparse.Namespace) -> int:
+def cmd_oracle_three(args: argparse.Namespace) -> None:
     ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
-    return _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(
+    _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(
         ensemble, grid_n=args.grid_n, refine_iters=args.refine_iters, seed=args.seed
     ))
 
 
-def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult]) -> int:
+def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult]) -> None:
     """Check --tol, run the solver and report its difference from `expected`."""
     if not 0.0 < args.tol < math.inf:
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
@@ -262,15 +269,13 @@ def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult])
         "difference": difference,
         "evaluations": result.evaluations,
     }
-    status = _write([_render_record(record, args.format)], args.out)
-    if status == EXIT_OK and difference > args.tol:
-        print(f"error: |oracle - analytic| = {difference!r} exceeds --tol {args.tol!r}",
-              file=sys.stderr)
-        return EXIT_TOLERANCE
-    return status
+    _write([_render_record(record, args.format)], args.out)
+    if difference > args.tol:
+        raise _Failure(EXIT_TOLERANCE,
+                       f"|oracle - analytic| = {difference!r} exceeds --tol {args.tol!r}")
 
 
-def cmd_ontic_check(args: argparse.Namespace) -> int:
+def cmd_ontic_check(args: argparse.Namespace) -> None:
     if args.num_models < 1:
         raise ValueError(f"--num-models must be >= 1, got {args.num_models}")
     if args.seed < 0:
@@ -304,9 +309,9 @@ def cmd_ontic_check(args: argparse.Namespace) -> int:
                      f"three-state: success={_fmt(three.success.item())} "
                      f"bound={_fmt(three.bound.item())} passed={three.passed.item()} "
                      f"decomposition_error={_fmt(three.decomposition_error.item())}\n"]
-    status = _write(lines, None)
-    all_pass = two_pass == three_pass == identity_pass == n
-    return EXIT_TOLERANCE if status == EXIT_OK and not all_pass else status
+    _write(lines, None)
+    if not two_pass == three_pass == identity_pass == n:
+        raise _Failure(EXIT_TOLERANCE, "a model fails a bound or the decomposition identity")
 
 
 def degrees(text: str) -> float:
@@ -390,12 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except SystemExit as exc:  # argparse exits itself on usage errors / --help
         return int(exc.code or 0)
     except ValueError as exc:  # a flag check or a library type's domain: bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
+    except _Failure as exc:  # an unwritten output or a failed verification
+        code, message = exc.args
+    try:
+        sys.stderr.write(f"error: {message}\n")
+    except (OSError, ValueError, AttributeError):  # closed, broken or None: drop the line
+        _discard(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

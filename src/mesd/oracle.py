@@ -10,10 +10,11 @@ dual; its optimum for the mirror triple is the closed form of Andersson,
 Barnett, Gilson and Hunter (PRA 65, 052308, 2002).  Both oracles pair their
 measurement with that dual, so the verdict is an interval: the success of
 the measurement found and a proven upper bound on the success of every
-measurement.  `_verdict` takes both ends from one `_certificate` call on
-the effects it reports: the success is
-Tr Gamma = sum_i p_i <psi_i| E_i |psi_i>, and the interval is ordered by
-construction.
+measurement.  `_verdict` runs one `_certificate` call on the effects it
+reports: the success is min(1, Tr Gamma), Tr Gamma = sum_i p_i <psi_i| E_i
+|psi_i>, and the upper end is the smaller of the solver's own dual bound
+(`_active_set`'s, for optimize_three) and the certificate's Tr Gamma + 2t,
+but never below the success.  So the interval is ordered by construction.
 
 `_certificate` evaluates that dual for any complete POVM in numpy;
 `_active_set` evaluates it per candidate in scalar floats and keeps a

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -672,3 +673,92 @@ class TestEntryPoints:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+
+
+def off_target_oracles(monkeypatch) -> None:
+    """Make both oracles report a valid measurement off the optimum: for
+    oracle-two at 30 degrees and prior 0.3, always guess the first state
+    (0.7 against 0.804); for oracle-three at 60 degrees and prior 0.1, always
+    guess the third (0.8 against 0.877)."""
+    zero, one = np.zeros((2, 2)), np.eye(2)
+    two = oracle.OracleResult(0.7, validate_povm([one, zero]), 1, 0.9)
+    three = oracle.OracleResult(0.8, validate_povm([zero, zero, one]), 1, 0.9)
+    monkeypatch.setattr(oracle, "optimize_two", lambda *args, **kwargs: two)
+    monkeypatch.setattr(oracle, "optimize_three", lambda *args, **kwargs: three)
+
+
+class BadDescriptor(io.StringIO):
+    """A stream on a descriptor that is not open for writing."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+class TestErrorLines:
+    """`main` writes one `error:` line per nonzero exit after parsing, and a
+    stderr that cannot take it changes neither the exit code nor stdout."""
+
+    @staticmethod
+    def failing(case: str, monkeypatch, tmp_path) -> list[str]:
+        """The argv of a run that fails as `case` names, after its set-up."""
+        off_target_oracles(monkeypatch)
+        if case == "stdout":
+            closed = io.StringIO()
+            closed.close()
+            monkeypatch.setattr(sys, "stdout", closed)
+        if case == "ontic-check":
+            TestCmdOnticCheck.fail_checks(monkeypatch, 2, "passed")
+        two = ["two", "--prior", "0.5", "--overlap", "0.5"]
+        return {
+            "flag": ["two", "--prior", "2", "--overlap", "0.5"],
+            "library-type": ["three", "--theta", "nan", "--prior", "0.3"],
+            "stdout": two,
+            "out": [*two, "--out", str(tmp_path / "no" / "such" / "x.json")],
+            "oracle-two": ["oracle-two", "--sep-deg", "30", "--prior", "0.3", "--tol", "1e-12"],
+            "oracle-three": ["oracle-three", "--theta-deg", "60", "--prior", "0.1",
+                             "--tol", "1e-12"],
+            "ontic-check": ["ontic-check", "--num-models", "3", "--seed", "7"],
+        }[case]
+
+    @pytest.mark.parametrize("case,code", [
+        ("flag", 2), ("library-type", 2), ("stdout", 3), ("out", 3),
+        ("oracle-two", 4), ("oracle-three", 4), ("ontic-check", 4),
+    ])
+    def test_one_error_line_per_nonzero_exit(self, capsys, monkeypatch, tmp_path, case, code):
+        assert main(self.failing(case, monkeypatch, tmp_path)) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("stderr", ["ebadf", "none"])
+    @pytest.mark.parametrize("case,code", [("flag", 2), ("out", 3), ("oracle-three", 4)])
+    def test_unusable_stderr_keeps_the_code_and_stdout(self, capsys, monkeypatch, tmp_path,
+                                                       stderr, case, code):
+        argv = self.failing(case, monkeypatch, tmp_path)
+        monkeypatch.setattr(sys, "stderr", BadDescriptor() if stderr == "ebadf" else None)
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        if code == 4:  # the record alone: an `error:` line after it would break the JSON
+            assert json.loads(out)["oracle"] == 0.8
+        else:
+            assert out == ""
+
+    # With fd 2 closed at start, Python sets `sys.stderr` to None.  A stderr
+    # pipe whose read end is closed fails each write with EPIPE, and a
+    # buffered stderr retries its unwritten line at exit.
+    @pytest.mark.parametrize("stderr", ["closed", "broken-pipe"])
+    def test_unusable_stderr_keeps_exit_2(self, stderr):
+        argv = [sys.executable, "-m", "mesd", "two", "--prior", "2", "--overlap", "0.5"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if stderr == "closed":
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                                  preexec_fn=lambda: os.close(2))
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=write_end,
+                                      text=True, env=env)
+            finally:
+                os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
