@@ -23,11 +23,14 @@ Output is deterministic: identical configuration gives byte-identical files.
 rendered with one `%` of a slice-wide template built once per map: the cell
 template (a CSV line, or a JSON object laid out as `json.dumps(..., indent=2)`
 would place it) joined once per cell.  The prior column, rendered once per
-map, is all its memory holds per prior, about 80 bytes.  `ontic-check` draws
-and checks its models in chunks of at most 1024, one `ontic.check_models`
-call per ontic-space size in a chunk, so its memory does not depend on
-`--num-models`.  Angles take radians (`--theta`, `--sep`) or degrees
-(`--theta-deg`, `--sep-deg`); `ontic-check --seed` must be >= 0.
+map, is all its memory holds per prior, about 80 bytes, so `--prior-steps` is
+at most 2**20.  `ontic-check` draws and checks its models in chunks of at most
+1024, one `ontic.check_models` call per ontic-space size in a chunk, so its
+memory does not depend on `--num-models`.  Angles take radians (`--theta`,
+`--sep`) or degrees (`--theta-deg`, `--sep-deg`); `ontic-check --seed` must
+be >= 0.  The oracles call `optimize_two` and `optimize_three` at their
+defaults: no flag sets their `grid_n`, `refine_iters` or `seed`, which steer
+nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_TOLERANCE = 4
 _MAP_CHUNK = 256  # cells per piece of the map file; bounds the memory of a piece
+_MAX_PRIOR_STEPS = 2**20  # the prior column map holds: about 80 MB at this bound
 _ONTIC_CHUNK = 1024  # models drawn, then checked, at a time; bounds memory on any count
 _MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
 
@@ -96,7 +100,8 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     except (OSError, ValueError) as exc:
         if out is None:
             _discard(sys.stdout)
-        raise _Failure(EXIT_IO, f"cannot write {'stdout' if out is None else out}: {exc}")
+        where = "stdout" if out is None else out if out.isprintable() else repr(out)[1:-1]
+        raise _Failure(EXIT_IO, f"cannot write {where}: {exc}")
 
 
 def _csv_row(record: dict) -> str:
@@ -239,22 +244,21 @@ def cmd_map(args: argparse.Namespace) -> None:
         raise ValueError(f"--theta-steps must be >= 2, got {args.theta_steps}")
     if args.prior_steps < 2:
         raise ValueError(f"--prior-steps must be >= 2, got {args.prior_steps}")
+    if args.prior_steps > _MAX_PRIOR_STEPS:
+        raise ValueError(f"--prior-steps must be <= {_MAX_PRIOR_STEPS}, got {args.prior_steps}")
     _write(_map_chunks(args.theta_steps, args.prior_steps, args.format), args.out)
 
 
 def cmd_oracle_two(args: argparse.Namespace) -> None:
     s2 = make_state(args.sep)
     scenario = TwoStateScenario(prior_p=args.prior, confusability_c=math.cos(args.sep) ** 2)
-    _run_oracle(analytic.helstrom_two(scenario), args, lambda: oracle.optimize_two(
-        make_state(0.0), s2, args.prior, grid_n=args.grid_n, refine_iters=args.refine_iters
-    ))
+    _run_oracle(analytic.helstrom_two(scenario), args,
+                lambda: oracle.optimize_two(make_state(0.0), s2, args.prior))
 
 
 def cmd_oracle_three(args: argparse.Namespace) -> None:
     ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
-    _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(
-        ensemble, grid_n=args.grid_n, refine_iters=args.refine_iters, seed=args.seed
-    ))
+    _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(ensemble))
 
 
 def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult]) -> None:
@@ -367,22 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_o2 = sub.add_parser("oracle-two", help="certified check of the two-state optimum")
     add_angle(p_o2, "sep", "angle between the states")
     p_o2.add_argument("--prior", type=float, required=True)
-    p_o2.add_argument("--grid-n", type=int, default=1024)
-    p_o2.add_argument("--refine-iters", type=int, default=60,
-                      help="accepted, must be >= 0")
     p_o2.add_argument("--tol", type=float, default=1e-4)
     add_io(p_o2)
-    p_o2.set_defaults(func=cmd_oracle_two)
+    # Not flags: bench/worker.py reads these solver defaults off the parse.
+    p_o2.set_defaults(func=cmd_oracle_two, grid_n=1024, refine_iters=60)
 
     p_o3 = sub.add_parser("oracle-three", help="certified check of the three-state optimum")
     add_angle(p_o3, "theta", "mirror angle")
     p_o3.add_argument("--prior", type=float, required=True)
-    p_o3.add_argument("--grid-n", type=int, default=64, help="accepted, must be >= 16; no grid")
-    p_o3.add_argument("--refine-iters", type=int, default=200, help="accepted, must be >= 0")
-    p_o3.add_argument("--seed", type=int, default=0, help="accepted; the solver is deterministic")
     p_o3.add_argument("--tol", type=float, default=1e-3)
     add_io(p_o3)
-    p_o3.set_defaults(func=cmd_oracle_three)
+    p_o3.set_defaults(func=cmd_oracle_three, grid_n=64, refine_iters=200, seed=0)
 
     p_ontic = sub.add_parser("ontic-check", help="finite-model inequality batch")
     p_ontic.add_argument("--num-models", type=int, default=10000)

@@ -2,6 +2,7 @@
 and its CLI examples."""
 
 import contextlib
+import hashlib
 import io
 import re
 import shlex
@@ -95,3 +96,36 @@ def test_readme_has_cli_examples():
 def test_readme_cli_example_runs(line, monkeypatch, tmp_path, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+# SHA-256 of each README line's stdout and, for `map`, of its `--out` file.
+README_CLI_SHA256 = {
+    "mesd two --prior 0.5 --overlap 0.5":
+        ("1022635bda7544c8648d624b2c32daf17a579d27a1aa1da9b59f19bbc71c7556", None),
+    "mesd three --theta-deg 60 --prior 0.5":
+        ("6ed91c19318fb39c49a06eff914d5ec87341d07dc3ff690de82a2eaa02aa0a48", None),
+    "mesd map --theta-steps 181 --prior-steps 101 --out map.csv":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "a069d5a80eda94affbd4c6ea47c8211e0a7495149ba603c6d55aafa4646c3d16"),
+    "mesd map --theta-steps 181 --prior-steps 101 --format json --out map.json":
+        ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "6e1f8b458e417344c5e58aca25467071416d42ebec4797f989cff2c853fcc17a"),
+    "mesd oracle-two --sep-deg 30 --prior 0.3 --tol 1e-4":
+        ("4c6932f016effef32f750a728f53121afb471ae2a9f0e3b4249bb3797c7dc071", None),
+    "mesd oracle-three --theta-deg 60 --prior 0.3333333 --tol 1e-3":
+        ("8f807c3e14f3406dc3d06b7262a3e61d27d94852c69fdb5b7f2b98d50a6058b7", None),
+    "mesd ontic-check --num-models 10000 --seed 7":
+        ("98093d81cbc9f8eb9af86ae83eccb8278070167a1d179e66117b8782eb2ada05", None),
+}
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_bytes(line, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line)[1:]
+    assert cli.main(argv) == 0
+    stdout_digest, out_digest = README_CLI_SHA256[line]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+    if out_digest is not None:
+        out = Path(argv[argv.index("--out") + 1]).read_bytes()
+        assert hashlib.sha256(out).hexdigest() == out_digest

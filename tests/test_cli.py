@@ -2,10 +2,12 @@ import contextlib
 import dataclasses
 import errno
 import hashlib
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mesd import analytic, ontic, oracle
+from mesd import analytic, cli, ontic, oracle
 from mesd.analytic import MirrorEnsemble
 from mesd.cli import _fmt, _fmt_num, _json_numbers, _json_obj, main
 from mesd.qcore import validate_povm
@@ -244,6 +246,17 @@ class TestCmdMap:
         assert "--prior-steps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversize_prior_steps_exits_2_before_allocating(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_column(*args, **kwargs):
+            raise AssertionError("prior column allocated")
+
+        monkeypatch.setattr(cli.np, "arange", no_column)
+        out = tmp_path / "grid.csv"
+        assert main(["map", "--theta-steps", "2", "--prior-steps", str(2**20 + 1),
+                     "--out", str(out)]) == 2
+        assert "--prior-steps" in capsys.readouterr().err
+        assert not out.exists()
 
     # Reference SHA-256 of the map bytes.  4x4 puts p = 1/3 = p*(0) on the
     # grid; 7x4 puts p = 1/3, theta = pi/6 and theta = pi/3 on it.  The map
@@ -418,10 +431,37 @@ class TestCmdOracle:
         assert main(["oracle-two", "--sep-deg", "90", "--prior", "1.5"]) == 2
         capsys.readouterr()
 
-    def test_oracle_two_negative_refine_iters_exits_2(self, capsys):
-        assert main(["oracle-two", "--sep-deg", "30", "--prior", "0.3",
-                     "--refine-iters", "-1"]) == 2
-        assert "refine_iters" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,flag", [
+        ("oracle-two", "--grid-n"), ("oracle-two", "--refine-iters"),
+        ("oracle-three", "--grid-n"), ("oracle-three", "--refine-iters"),
+        ("oracle-three", "--seed"),
+    ])
+    def test_solver_flags_exit_2(self, capsys, command, flag):
+        angle = "--sep-deg" if command == "oracle-two" else "--theta-deg"
+        assert main([command, angle, "30", "--prior", "0.3", flag, "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,angle", [("oracle-two", "--sep"),
+                                               ("oracle-three", "--theta")])
+    def test_help_lists_only_the_kept_flags(self, capsys, command, angle):
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", angle, f"{angle}-deg", "--prior", "--tol", "--out",
+                          "--format"}
+
+    # bench/worker.py reads these values off the parse and passes them to the
+    # solvers by keyword; they must stay the solvers' own defaults.
+    @pytest.mark.parametrize("command,angle,solve,tol", [
+        ("oracle-two", "--sep", oracle.optimize_two, 1e-4),
+        ("oracle-three", "--theta", oracle.optimize_three, 1e-3),
+    ], ids=["oracle-two", "oracle-three"])
+    def test_parse_keeps_the_solver_defaults(self, command, angle, solve, tol):
+        args = cli.build_parser().parse_args([command, angle, "0", "--prior", "0"])
+        read = {k: getattr(args, k) for k in ("grid_n", "refine_iters", "seed", "tol")
+                if hasattr(args, k)}
+        defaults = {k: v.default for k, v in inspect.signature(solve).parameters.items()
+                    if k in ("grid_n", "refine_iters", "seed")}
+        assert read == {**defaults, "tol": tol}
 
     def test_oracle_unwritable_out_exits_3_before_the_tol_check(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -445,8 +485,7 @@ class TestCmdOracle:
     ])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_tol_must_be_finite_and_positive(self, capsys, command, angle, tol):
-        code = main([command, *angle, "--prior", "0.1", "--grid-n", "16",
-                     "--refine-iters", "2", "--tol", tol])
+        code = main([command, *angle, "--prior", "0.1", "--tol", tol])
         assert code == 2
         assert "--tol" in capsys.readouterr().err
 
@@ -657,7 +696,14 @@ class TestEntryPoints:
         # `open` raises ValueError, not OSError, for a path with a null byte
         assert main(["two", "--prior", "0.5", "--overlap", "0.5", "--out", "a\0b"]) == 3
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: cannot write a\0b")
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write a\\x00b:")
+
+    def test_out_path_with_a_newline_keeps_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "a\nb.json"
+        assert main(["two", "--prior", "0.5", "--overlap", "0.5", "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+        assert "a\\nb.json" in lines[0]
 
     # Writing to /dev/full fails with ENOSPC, which a buffered stream reports
     # only when it flushes: at `--out`'s close, or at stdout's flush.
