@@ -41,7 +41,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,10 +60,8 @@ _MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
 
 
 def _fmt(x: float) -> str:
-    """Floats rendered with 9 significant digits; -0.0 canonicalized."""
-    if x == 0.0:
-        x = 0.0
-    return format(x, ".9g")
+    """Floats rendered with 9 significant digits; `+ 0.0` canonicalizes -0.0."""
+    return format(x + 0.0, ".9g")
 
 
 def _fmt_num(x: float) -> float:
@@ -104,14 +102,6 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         raise _Failure(EXIT_IO, f"cannot write {where}: {exc}")
 
 
-def _csv_row(record: dict) -> str:
-    return ",".join(
-        "true" if v is True else "false" if v is False else
-        v if isinstance(v, str) else _fmt(v)
-        for v in record.values()
-    )
-
-
 def _json_obj(record: dict) -> dict:
     return {
         k: (v if isinstance(v, (bool, str, int)) else _fmt_num(v))
@@ -121,7 +111,9 @@ def _json_obj(record: dict) -> dict:
 
 def _render_record(record: dict, fmt: str) -> str:
     if fmt == "csv":
-        return f"{','.join(record)}\n{_csv_row(record)}\n"
+        values = ("true" if v is True else "false" if v is False else
+                  v if isinstance(v, str) else _fmt(v) for v in record.values())
+        return f"{','.join(record)}\n{','.join(values)}\n"
     return json.dumps(_json_obj(record), indent=2) + "\n"
 
 
@@ -214,7 +206,9 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     between the text of `_map_frame`.  Each piece is one slice of a theta-row,
     computed by `analytic.advantage_three_row` and rendered with one `%` of
     its length's template from a flat tuple, cell by cell.  The templates
-    and the prior texts are made once per map."""
+    and the prior texts are made once per map.  Row i's angle is capped at
+    `HALF_PI`, which `HALF_PI * i / (theta_steps - 1)` overshoots by one ulp
+    in the last row at some counts (14, 27, 48, ...)."""
     head, tail = _map_frame(theta_steps, prior_steps, fmt)
     number, cell, numbers, separator = _MAP_CELLS[fmt]
     priors = [0.5 * np.arange(start, min(start + _MAP_CHUNK, prior_steps)) / (prior_steps - 1)
@@ -224,7 +218,7 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     yield head
     lead = ""
     for i in range(theta_steps):
-        theta = (math.pi / 2.0) * i / (theta_steps - 1)
+        theta = min(analytic.HALF_PI, analytic.HALF_PI * i / (theta_steps - 1))
         theta_text = number % numbers(np.array([theta]))[0]
         for prior, prior_numbers in slices:
             quantum, nc, gap = analytic.advantage_three_row(theta, prior)
@@ -252,20 +246,19 @@ def cmd_map(args: argparse.Namespace) -> None:
 def cmd_oracle_two(args: argparse.Namespace) -> None:
     s2 = make_state(args.sep)
     scenario = TwoStateScenario(prior_p=args.prior, confusability_c=math.cos(args.sep) ** 2)
-    _run_oracle(analytic.helstrom_two(scenario), args,
-                lambda: oracle.optimize_two(make_state(0.0), s2, args.prior))
+    _run_oracle(analytic.helstrom_two(scenario),
+                oracle.optimize_two(make_state(0.0), s2, args.prior), args)
 
 
 def cmd_oracle_three(args: argparse.Namespace) -> None:
     ensemble = MirrorEnsemble(theta=args.theta, prior_p=args.prior)
-    _run_oracle(analytic.quantum_three(ensemble), args, lambda: oracle.optimize_three(ensemble))
+    _run_oracle(analytic.quantum_three(ensemble), oracle.optimize_three(ensemble), args)
 
 
-def _run_oracle(expected: float, args, solve: Callable[[], oracle.OracleResult]) -> None:
-    """Check --tol, run the solver and report its difference from `expected`."""
+def _run_oracle(expected: float, result: oracle.OracleResult, args) -> None:
+    """Check --tol and report the solver's difference from `expected`."""
     if not 0.0 < args.tol < math.inf:
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
-    result = solve()
     difference = abs(result.success - expected)
     record = {
         "analytic": expected,
@@ -341,12 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, default_format: str = "json") -> None:
+    def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=default_format,
-            help=f"output format (default {default_format})",
-        )
+        p.add_argument("--format", choices=("csv", "json"), default="json",
+                       help="output format (default json)")
 
     p_two = sub.add_parser("two", help="two-state bounds for a (prior, overlap) pair")
     p_two.add_argument("--prior", type=float, required=True)

@@ -1,5 +1,5 @@
-"""The public surface of the `mesd` package, the README's library example
-and its CLI examples."""
+"""The public surface of the `mesd` package, the README's library example,
+its CLI examples and the CLI's one-record CSV bytes."""
 
 import contextlib
 import hashlib
@@ -129,3 +129,24 @@ def test_readme_cli_example_bytes(line, monkeypatch, tmp_path, capsys):
     if out_digest is not None:
         out = Path(argv[argv.index("--out") + 1]).read_bytes()
         assert hashlib.sha256(out).hexdigest() == out_digest
+
+
+# SHA-256 of the stdout of each one-record command in CSV, recorded before
+# `cli`'s record renderer was folded into one function.
+CSV_RECORD_SHA256 = {
+    "two --prior 0.5 --overlap 0.5 --format csv":
+        "240ac1431bdd2749bbb128801d17b068d7807ebb14bd3dd9246b623361050ae8",
+    "three --theta-deg 60 --prior 0.5 --format csv":
+        "69b10c8a364b730a30dd229a90f26225cecc142cde0181d53b6958f073e16b4a",
+    "oracle-two --sep-deg 30 --prior 0.3 --tol 1e-4 --format csv":
+        "077fd073894cd75a3702967aff921e601b4ac4725556d8ce677b72c8edf76674",
+    "oracle-three --theta-deg 60 --prior 0.3333333 --tol 1e-3 --format csv":
+        "56e21e647c36715f731d2c5ee581b2aa17ebca3b83da21bd00b1ea94fabaf2cf",
+}
+
+
+@pytest.mark.parametrize("line", CSV_RECORD_SHA256)
+def test_csv_record_bytes(line, capsys):
+    assert cli.main(line.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CSV_RECORD_SHA256[line]
+

@@ -49,6 +49,30 @@ def parse_csv(text: str) -> list[dict]:
     return rows
 
 
+def reference_map(theta_steps: int, prior_steps: int, fmt: str) -> str:
+    """The map file as defined: scalar `advantage_three` cells, theta-major,
+    row i at angle (pi/2) * i / (theta_steps - 1) capped at pi/2; a CSV line
+    of `_fmt` fields per cell, or each cell through `_json_obj` in one
+    `json.dumps(..., indent=2)` of the payload."""
+    records = []
+    for i in range(theta_steps):
+        theta = min(math.pi / 2, (math.pi / 2) * i / (theta_steps - 1))
+        for j in range(prior_steps):
+            prior = 0.5 * j / (prior_steps - 1)
+            pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
+            records.append({"theta": theta, "prior": prior, "s_quantum": pair.quantum,
+                            "s_nc_bound": pair.noncontextual, "gap": pair.gap,
+                            "advantage": pair.advantage})
+    if fmt == "csv":
+        return MAP_HEADER + "\n" + "".join(
+            ",".join([*map(_fmt, list(r.values())[:5]), str(r["advantage"]).lower()]) + "\n"
+            for r in records)
+    config = {"command": "map", "theta_steps": theta_steps,
+              "prior_steps": prior_steps, "format": fmt}
+    return json.dumps({"config": config, "cells": [_json_obj(r) for r in records]},
+                      indent=2) + "\n"
+
+
 class TestCmdTwo:
     def test_half_half(self, capsys):
         code, out = run(capsys, "two", "--prior", "0.5", "--overlap", "0.5")
@@ -292,59 +316,37 @@ class TestCmdMap:
 
     @pytest.mark.parametrize("theta_steps,prior_steps", [(2, 2), (3, 257), (5, 600), (61, 41)])
     def test_json_matches_reference_renderer(self, tmp_path, capsys, theta_steps, prior_steps):
-        # The JSON map as defined: scalar `advantage_three` cells, each through
-        # `_json_obj`, in one `json.dumps(..., indent=2)` of the payload.
-        cells = []
-        for i in range(theta_steps):
-            theta = (math.pi / 2.0) * i / (theta_steps - 1)
-            for j in range(prior_steps):
-                prior = 0.5 * j / (prior_steps - 1)
-                pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
-                cells.append(_json_obj({
-                    "theta": theta, "prior": prior, "s_quantum": pair.quantum,
-                    "s_nc_bound": pair.noncontextual, "gap": pair.gap,
-                    "advantage": pair.advantage,
-                }))
-        config = {"command": "map", "theta_steps": theta_steps,
-                  "prior_steps": prior_steps, "format": "json"}
-        expected = json.dumps({"config": config, "cells": cells}, indent=2) + "\n"
         out = tmp_path / "grid.json"
         assert main(["map", "--theta-steps", str(theta_steps),
                      "--prior-steps", str(prior_steps),
                      "--out", str(out), "--format", "json"]) == 0
         capsys.readouterr()
-        assert out.read_bytes() == expected.encode()
+        assert out.read_bytes() == reference_map(theta_steps, prior_steps, "json").encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("theta_steps", [14, 27])
+    def test_last_row_stops_at_half_pi(self, tmp_path, capsys, fmt, theta_steps):
+        # (pi/2) * i / (n - 1) rounds one ulp above pi/2 at i = n - 1 for these
+        # n, outside the mirror domain: the row must be clamped, not rejected.
+        out = tmp_path / f"grid.{fmt}"
+        assert main(["map", "--theta-steps", str(theta_steps), "--prior-steps", "3",
+                     "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_bytes().decode()
+        assert text == reference_map(theta_steps, 3, fmt)
+        last_theta = "\n1.57079633," if fmt == "csv" else '"theta": 1.57079633,'
+        assert text.count(last_theta) == 3
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("prior_steps", [257, 600])
     def test_bytes_match_cell_by_cell_reference_across_slices(self, tmp_path, capsys,
                                                               fmt, prior_steps):
-        # Theta-rows of 256+1 and 256+256+88 cells, each cell from scalar
-        # `advantage_three`: a CSV line of `_fmt` fields, or a `_json_obj`
-        # record in one `json.dumps(..., indent=2)` of the payload.
-        records = []
-        for i in range(3):
-            theta = (math.pi / 2.0) * i / 2
-            for j in range(prior_steps):
-                prior = 0.5 * j / (prior_steps - 1)
-                pair = analytic.advantage_three(MirrorEnsemble(theta=theta, prior_p=prior))
-                records.append({"theta": theta, "prior": prior, "s_quantum": pair.quantum,
-                                "s_nc_bound": pair.noncontextual, "gap": pair.gap,
-                                "advantage": pair.advantage})
-        if fmt == "csv":
-            expected = MAP_HEADER + "\n" + "".join(
-                ",".join([*map(_fmt, list(r.values())[:5]), str(r["advantage"]).lower()]) + "\n"
-                for r in records)
-        else:
-            config = {"command": "map", "theta_steps": 3,
-                      "prior_steps": prior_steps, "format": "json"}
-            expected = json.dumps({"config": config,
-                                   "cells": [_json_obj(r) for r in records]}, indent=2) + "\n"
+        # Theta-rows of 256+1 and 256+256+88 cells.
         out = tmp_path / f"grid.{fmt}"
         assert main(["map", "--theta-steps", "3", "--prior-steps", str(prior_steps),
                      "--out", str(out), "--format", fmt]) == 0
         capsys.readouterr()
-        assert out.read_bytes() == expected.encode()
+        assert out.read_bytes() == reference_map(3, prior_steps, fmt).encode()
 
     @pytest.mark.parametrize("value", [
         -0.0, 0.0, 1.0, 0.99999999996,
@@ -362,6 +364,9 @@ class TestCmdMap:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_json_number_renderer_matches_json_dumps_on_every_float(self, value):
         assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
+
+    def test_fmt_canonicalizes_negative_zero(self):
+        assert _fmt(-0.0) == "0"
 
     @staticmethod
     def traced_peak(out: Path, theta_steps: int, prior_steps: int, fmt: str) -> int:
@@ -487,7 +492,10 @@ class TestCmdOracle:
     def test_tol_must_be_finite_and_positive(self, capsys, command, angle, tol):
         code = main([command, *angle, "--prior", "0.1", "--tol", tol])
         assert code == 2
-        assert "--tol" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        shown = {"nan": "nan", "inf": "inf", "0": "0.0"}[tol]
+        assert captured.err == f"error: --tol must be finite and positive, got {shown}\n"
 
 
 class TestNonFiniteInputs:

@@ -146,6 +146,10 @@ class TestOptimizeTwo:
         with pytest.raises(ValueError):
             optimize_two(make_state(0.0), make_state(1.0), 0.5, grid_n=32)
 
+    def test_negative_refine_iters(self):
+        with pytest.raises(ValueError, match="refine_iters must be >= 0, got -1"):
+            optimize_two(make_state(0.0), make_state(1.0), 0.5, refine_iters=-1)
+
     def test_reports_evaluations(self):
         r = optimize_two(make_state(0.0), make_state(1.0), 0.5)
         assert r.evaluations >= 1024
