@@ -11,7 +11,8 @@ Commands
 Exit codes: 0 ok, 2 invalid arguments, 3 output not written, 4 verification
 failed.  `main` is the one exit boundary: it alone writes an `error:` line,
 one per nonzero exit after parsing (argparse's usage errors keep argparse's
-own text).  A flag check or a library type raises `ValueError` (exit 2).
+own text).  A flag check or a library type raises `ValueError` (exit 2),
+also one met while `map` computes the rows it streams.
 A failed write raises `_Failure` with exit 3: an `OSError`, no stdout, a
 closed stream, or an `--out` path that `open` rejects.  An oracle difference
 above `--tol` and an ontic-check model failing a bound or the identity raise
@@ -85,21 +86,33 @@ def _discard(stream) -> None:
 def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write the text `chunks` to the file `out` (utf-8, `\n` newlines), or to
     stdout when `out` is None.  Any write failure, `ValueError`s included (a
-    closed stream, a path `open` rejects), raises `_Failure` with `EXIT_IO`."""
+    closed stream, a path `open` rejects), raises `_Failure` with `EXIT_IO`.
+    An error raised while computing a chunk (`map`'s are lazy) is no write
+    failure: the chunks before it are written, then it is raised as it was."""
+    compute_errors: list[Exception] = []
+
+    def computed() -> Iterator[str]:
+        try:
+            yield from chunks
+        except (OSError, ValueError) as exc:
+            compute_errors.append(exc)
+
     try:
         if out is None:
             if sys.stdout is None:  # Python's stdout when fd 1 was closed at start
                 raise OSError("fd 1 is closed")
-            sys.stdout.writelines(chunks)  # looked up per call: it may be redirected
+            sys.stdout.writelines(computed())  # looked up per call: it may be redirected
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(chunks)
+                fh.writelines(computed())
     except (OSError, ValueError) as exc:
         if out is None:
             _discard(sys.stdout)
         where = "stdout" if out is None else out if out.isprintable() else repr(out)[1:-1]
         raise _Failure(EXIT_IO, f"cannot write {where}: {exc}")
+    if compute_errors:
+        raise compute_errors[0]
 
 
 def _json_obj(record: dict) -> dict:

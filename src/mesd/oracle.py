@@ -10,15 +10,15 @@ dual; its optimum for the mirror triple is the closed form of Andersson,
 Barnett, Gilson and Hunter (PRA 65, 052308, 2002).  Both oracles pair their
 measurement with that dual, so the verdict is an interval: the success of
 the measurement found and a proven upper bound on the success of every
-measurement.  `_verdict` runs one `_certificate` call on the effects it
-reports: the success is min(1, Tr Gamma), Tr Gamma = sum_i p_i <psi_i| E_i
-|psi_i>, and the upper end is the smaller of the solver's own dual bound
-(`_active_set`'s, for optimize_three) and the certificate's Tr Gamma + 2t,
-but never below the success.  So the interval is ordered by construction.
+measurement.  The success is min(1, Tr Gamma), Tr Gamma = sum_i p_i
+<psi_i| E_i |psi_i> of the reported effects, and the upper end is the
+solver's dual bound, but never below the success; `_verdict` validates the
+effects and orders the interval, so it is ordered by construction.
 
-`_certificate` evaluates that dual for any complete POVM in numpy;
-`_active_set` evaluates it per candidate in scalar floats and keeps a
-triple only if its effects sum to I within `COMPLETENESS_TOL`.
+optimize_two scores its effects with `_certificate`, the dual in numpy for
+any complete POVM.  optimize_three takes both ends from `_active_set`, which
+scores the same dual per candidate in scalar floats and keeps a triple only
+if its effects sum to I within `COMPLETENESS_TOL`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class OracleResult:
     """The best measurement found as a POVM (effect i guesses state i), its
-    success Tr Gamma from `_certificate`, the candidates evaluated (grid
+    success min(1, Tr Gamma) (scored by `_certificate` for optimize_two, by
+    `_active_set` for optimize_three), the candidates evaluated (grid
     angles plus the fitted peak for optimize_two, active-set pairs and
     triples scored for optimize_three), and dual_bound, an upper bound on
     the success of every measurement, proven up to float rounding: the
@@ -89,12 +90,12 @@ def optimize_two(
 
     Uniform grid of grid_n angles over one projector period [0, pi).  Each
     state enters the grid as atan2 of its amplitudes, so the grid searches
-    the very kets `_verdict` certifies, however large the given angle.  The
+    the very kets `_certificate` scores, however large the given angle.  The
     objective is a single harmonic in 2*angle, so the best grid value and
     its two neighbours fix the peak exactly; the peak is kept within one
     grid step of the best grid angle.  Returns the projective POVM at the
-    peak (outcome 1 guesses s1) with its `_verdict`.  A prior p outside
-    [0, 1], NaN included, is rejected by `PriorDistribution`.
+    peak (outcome 1 guesses s1) with the `_verdict` of its `_certificate`.
+    A prior p outside [0, 1], NaN included, is rejected by `PriorDistribution`.
     grid_n must lie in [64, 2**20], which bounds the memory of the grid (one
     float per angle).  refine_iters (>= 0) is validated and accepted only.
     """
@@ -116,24 +117,18 @@ def optimize_two(
     ket = make_state(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c)))).ket
     projector = np.outer(ket, ket)
     effects = np.array([projector, np.eye(2) - projector])
-    return _verdict(np.array([s1.ket, s2.ket]), priors, effects, grid_n + 1)
+    kets = np.array([s1.ket, s2.ket])
+    return _verdict(effects, grid_n + 1, *_certificate(kets, priors, effects))
 
 
-def _verdict(
-    kets: np.ndarray,
-    priors: np.ndarray,
-    effects: np.ndarray,
-    evaluations: int,
-    dual: float = math.inf,
-) -> OracleResult:
-    """The validated `effects` and the interval of one `_certificate` call:
-    success = min(1, Tr Gamma), dual_bound = max(success, min(dual,
-    Tr Gamma + 2t)) with `dual` the solver's own bound (inf if none), so
-    success <= dual_bound <= the effects' own bound, with no tolerance."""
+def _verdict(effects: np.ndarray, evaluations: int, value: float, bound: float) -> OracleResult:
+    """The validated `effects`, whose Tr Gamma is `value`, with the interval
+    success = min(1, value), dual_bound = max(success, bound), `bound` being
+    the solver's upper bound on every measurement's success: so
+    success <= dual_bound, with no tolerance.  It computes nothing else."""
     povm = validate_povm(effects)
-    value, bound = _certificate(kets, priors, effects)
     success = min(1.0, value)
-    return OracleResult(success, povm, evaluations, max(success, min(dual, bound)))
+    return OracleResult(success, povm, evaluations, max(success, bound))
 
 
 def _certificate(
@@ -151,9 +146,9 @@ def _certificate(
     return float(np.trace(gamma)), float(np.trace(gamma)) + 2.0 * t
 
 
-def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Best effects, smallest dual bound (`_verdict` takes its min with the
-    effects' own `_certificate`) and number of candidates scored, for any
+def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, float, float]:
+    """Best effects, number of candidates scored, the best effects' Tr Gamma
+    and the smallest candidate's dual bound, `_verdict`'s arguments, for any
     n >= 2 real kets, in scalar floats.  The Holevo / Yuen-Kennedy-Lax dual is
     min Tr Gamma over symmetric 2x2 Gamma >= p_i rho_i, three unknowns, so
     by Caratheodory some pair or triple of active constraints carries the
@@ -195,7 +190,7 @@ def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, float
     out = np.zeros((len(states), 2, 2))
     for i, exx, exy, eyy in best:
         out[i] = ((exx, exy), (exy, eyy))
-    return out, dual, len(candidates)
+    return out, len(candidates), value, dual
 
 
 def _pair(states: list, a: int, b: int) -> list:
@@ -254,8 +249,9 @@ def optimize_three(
 ) -> OracleResult:
     """Maximize three-state success over all measurements, with a certificate.
 
-    Runs `_active_set` and returns its best POVM with its `_verdict`, given
-    the smallest candidate bound, and the number of candidates scored: the
+    Runs `_active_set` and returns the `_verdict` of its scalar scoring, with
+    no numpy linear algebra: its best POVM, that POVM's Tr Gamma, the
+    smallest candidate bound and the number of candidates scored: the
     three pairs, plus the triple unless it has no measurement (theta = 0,
     or below ~1e-76, where its weights underflow; p in {0, 1/2}; or p above
     p*(theta), where E_3 = 0).  `grid_n` (>= 16)
@@ -273,5 +269,4 @@ def optimize_three(
     c, s, p = math.cos(ensemble.theta), math.sin(ensemble.theta), ensemble.prior_p
     kets = np.array([(c, s), (c, -s), (1.0, 0.0)])
     priors = np.array([p, p, 1.0 - 2.0 * p], dtype=float)
-    effects, dual, evaluations = _active_set(kets, priors)
-    return _verdict(kets, priors, effects, evaluations, dual)
+    return _verdict(*_active_set(kets, priors))

@@ -261,6 +261,26 @@ class TestCmdMap:
                      "--out", str(missing)]) == 3
         capsys.readouterr()
 
+    def test_compute_error_exits_2_not_3(self, tmp_path, capsys, monkeypatch):
+        # the map's rows are computed while they are written: an error from
+        # computing one is bad input (exit 2), not a write failure (exit 3)
+        row = analytic.advantage_three_row
+
+        def second_row_fails(theta, priors):
+            if theta > 0.0:
+                raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
+            return row(theta, priors)
+
+        monkeypatch.setattr(analytic, "advantage_three_row", second_row_fails)
+        out = tmp_path / "grid.csv"
+        assert main(["map", "--theta-steps", "3", "--prior-steps", "3",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured == ("", f"error: theta must lie in [0, pi/2], got {math.pi / 4!r}\n")
+        # streamed: the header and the first row were written before the error
+        assert out.read_text() == "".join(
+            reference_map(3, 3, "csv").splitlines(keepends=True)[:4])
+
     def test_too_few_steps_exits_2(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert main(["map", "--theta-steps", "1", "--prior-steps", "5",

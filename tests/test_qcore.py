@@ -370,7 +370,8 @@ def test_effect_max_verdict_matches_eigvalsh(offset, tilt, phase):
 
 
 def test_checks_make_no_eigensolver_call(monkeypatch):
-    # oracle._certificate still calls eigvalsh, so the POVMs are found first
+    # optimize_two's oracle._certificate calls eigvalsh, so the POVMs are
+    # found first (optimize_three calls none since its verdict is scalar)
     povms = [
         optimize_two(make_state(0.0), make_state(0.5), 0.3).povm,
         optimize_three(MirrorEnsemble(0.7, 0.2)).povm,
