@@ -173,6 +173,7 @@ def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, 
     states = list(zip(priors.tolist(), *kets.T.tolist()))
     candidates = [_pair(states, a, b) for a, b in combinations(range(len(states)), 2)]
     candidates += filter(None, (_triple(states, t) for t in combinations(range(len(states)), 3)))
+    weighted = [(p * x * x, p * y * y, p * x * y) for p, x, y in states]  # p rho
     best, value, dual = None, -math.inf, math.inf
     for effects in candidates:
         gxx = gxy = gyy = 0.0
@@ -181,16 +182,16 @@ def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, 
             u, v = exx * x + exy * y, exy * x + eyy * y
             gxx, gxy, gyy = gxx + p * x * u, gxy + 0.5 * p * (x * v + y * u), gyy + p * y * v
         t = 0.0
-        for p, x, y in states:
-            mxx, myy = p * x * x - gxx, p * y * y - gyy
-            t = max(t, 0.5 * (mxx + myy) + math.hypot(0.5 * (mxx - myy), p * x * y - gxy))
+        for rxx, ryy, rxy in weighted:
+            mxx, myy = rxx - gxx, ryy - gyy
+            t = max(t, 0.5 * (mxx + myy) + math.hypot(0.5 * (mxx - myy), rxy - gxy))
         dual = min(dual, gxx + gyy + 2.0 * t)
         if gxx + gyy > value:
             best, value = effects, gxx + gyy
-    out = np.zeros((len(states), 2, 2))
+    rows = [((0.0, 0.0), (0.0, 0.0))] * len(states)
     for i, exx, exy, eyy in best:
-        out[i] = ((exx, exy), (exy, eyy))
-    return out, len(candidates), value, dual
+        rows[i] = ((exx, exy), (exy, eyy))
+    return np.array(rows), len(candidates), value, dual
 
 
 def _pair(states: list, a: int, b: int) -> list:

@@ -14,6 +14,11 @@ x >= 0, y >= 0 and x*y >= |c|*|c|.  lambda_min >= -PSD_TOL is that test on
 M + PSD_TOL*I, and lambda_max <= EFFECT_MAX is that test on EFFECT_MAX*I - M.
 It is exact up to the rounding of the two products, about eps times the
 entries, far below PSD_TOL for effects of norm ~1.
+
+All of it runs in Python floats on each matrix's four entries, read once.
+Hermiticity compares real and imaginary parts, and a POVM is validated in
+one pass over its members that sums them in member order, the order of
+numpy's axis-0 sum, and runs each member's EFFECT_MAX test on the way.
 """
 
 from __future__ import annotations
@@ -33,12 +38,10 @@ COMPLETENESS_TOL = 1e-9
 # I by COMPLETENESS_TOL entrywise misses it by twice that in operator norm.
 EFFECT_MAX = 1.0 + 2.0 * COMPLETENESS_TOL + PSD_TOL
 
-_IDENTITY = np.eye(2, dtype=complex)
-
 
 def identity_matrix() -> np.ndarray:
     """2x2 identity, the unit effect of every POVM."""
-    return _IDENTITY.copy()
+    return np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,13 @@ class Effect:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect must be a 2x2 matrix, got shape {m.shape}")
-        a, b, c, d = m.ravel().tolist()
-        skews = (a - a.conjugate(), b - c.conjugate(), d - d.conjugate())
-        if not all(math.hypot(z.real, z.imag) <= HERMITIAN_TOL for z in skews):
+        (a, b), (c, d) = m.tolist()
+        # |a - conj(a)| = hypot(Re a - Re a, 2 Im a), and Re a - Re a is 0,
+        # or NaN if Re a is not finite; likewise for d
+        if not (math.isfinite(a.real) and math.isfinite(d.real)
+                and abs(a.imag + a.imag) <= HERMITIAN_TOL
+                and abs(d.imag + d.imag) <= HERMITIAN_TOL
+                and math.hypot(b.real - c.real, b.imag + c.imag) <= HERMITIAN_TOL):
             raise ValueError("non-Hermitian effect")
         if not _is_psd(a.real + PSD_TOL, d.real + PSD_TOL, c):
             raise ValueError("non-positive effect")
@@ -158,22 +165,42 @@ class Povm:
     EFFECT_MAX is Sylvester's criterion on the lower triangle of
     EFFECT_MAX*I - M: with x = EFFECT_MAX - Re a and y = EFFECT_MAX - Re d,
     x >= 0, y >= 0 and x*y >= |c|*|c|.
+
+    Both tests run in one pass over the members, in Python floats: the real
+    and imaginary parts of each entry are summed in member order, so the sum
+    is bit for bit numpy's axis-0 sum of the stacked matrices.  An
+    incomplete POVM is reported before an oversized member.  Members must
+    be `Effect`s (any iterable of them is kept as a tuple); `validate_povm`
+    takes raw matrices.
     """
 
     effects: tuple[Effect, ...]
     __hash__ = None  # type: ignore[assignment]  # its effects are unhashable
 
     def __post_init__(self) -> None:
-        if not self.effects:
+        effects = tuple(self.effects)
+        if not effects:
             raise ValueError("POVM needs at least one effect")
-        stack = np.array([e.matrix for e in self.effects])
-        if np.abs(stack.sum(axis=0) - _IDENTITY).max() > COMPLETENESS_TOL:
+        ar = ai = br = bi = cr = ci = dr = di = 0.0
+        oversized = False
+        for e in effects:
+            if not isinstance(e, Effect):
+                raise ValueError(
+                    f"POVM members must be Effects, got {type(e).__name__}: "
+                    "validate_povm takes raw matrices"
+                )
+            (a, b), (c, d) = e.matrix.tolist()
+            ar, ai, br, bi = ar + a.real, ai + a.imag, br + b.real, bi + b.imag
+            cr, ci, dr, di = cr + c.real, ci + c.imag, dr + d.real, di + d.imag
+            oversized = oversized or not _is_psd(EFFECT_MAX - a.real, EFFECT_MAX - d.real, c)
+        if not (math.hypot(ar - 1.0, ai) <= COMPLETENESS_TOL
+                and math.hypot(br, bi) <= COMPLETENESS_TOL
+                and math.hypot(cr, ci) <= COMPLETENESS_TOL
+                and math.hypot(dr - 1.0, di) <= COMPLETENESS_TOL):
             raise ValueError("incomplete POVM")
-        for e in self.effects:
-            a, _, c, d = e.matrix.ravel().tolist()
-            if not _is_psd(EFFECT_MAX - a.real, EFFECT_MAX - d.real, c):
-                raise ValueError("oversized effect: an eigenvalue above 1")
-        object.__setattr__(self, "effects", tuple(self.effects))
+        if oversized:
+            raise ValueError("oversized effect: an eigenvalue above 1")
+        object.__setattr__(self, "effects", effects)
 
     def __len__(self) -> int:
         return len(self.effects)

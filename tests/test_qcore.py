@@ -10,9 +10,11 @@ from mesd.analytic import MirrorEnsemble
 from mesd.ontic import FiniteOnticModel
 from mesd.oracle import optimize_three, optimize_two
 from mesd.qcore import (
+    COMPLETENESS_TOL,
     EFFECT_MAX,
     PSD_TOL,
     Effect,
+    Povm,
     PriorDistribution,
     PureState,
     born_probability,
@@ -390,3 +392,95 @@ def test_checks_make_no_eigensolver_call(monkeypatch):
         Effect(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="oversized effect"):
         validate_povm([(1.0 + 2.0015e-9) * _HALF, _REST, _REST])
+
+
+class TestPovmMembers:
+    def test_generator_keeps_every_member(self):
+        effects = [Effect.projector(make_state(a)) for a in (0.3, 0.3 + math.pi / 2)]
+        povm = Povm(e for e in effects)
+        assert len(povm) == 2
+        assert povm.effects == tuple(effects)
+
+    def test_generator_of_an_incomplete_povm_rejected(self):
+        effects = [Effect.projector(make_state(0.3))]
+        with pytest.raises(ValueError, match="^incomplete POVM$"):
+            Povm(e for e in effects)
+
+    @pytest.mark.parametrize("member", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]], None])
+    def test_raw_member_rejected(self, member):
+        with pytest.raises(ValueError, match="validate_povm"):
+            Povm([member])
+
+
+class TestErrorOrder:
+    def test_non_positive_member_before_incompleteness(self):
+        with pytest.raises(ValueError, match="^non-positive effect$"):
+            validate_povm([np.diag([0.25, 0.25]), np.diag([-0.5, 0.0])])
+
+    @pytest.mark.parametrize("members", [
+        [np.diag([2.0, 0.0])],
+        [np.diag([0.0, 1.0]), np.diag([3.0, 0.0])],
+        [np.diag([3.0, 0.0]), np.diag([0.0, 1.0]), np.diag([0.5, 0.0])],
+    ], ids=["one", "last", "first"])
+    def test_incomplete_before_oversized(self, members):
+        with pytest.raises(ValueError, match="^incomplete POVM$"):
+            validate_povm(members)
+
+
+def _numpy_incomplete(effects) -> tuple[bool, float]:
+    """The completeness verdict as numpy gave it, with its entrywise
+    distance of the stacked sum from I."""
+    with np.errstate(all="ignore"):  # a sum of 1e308 entries overflows
+        stack = np.array([e.matrix for e in effects])
+        distance = float(np.abs(stack.sum(axis=0) - np.eye(2)).max())
+    return distance > COMPLETENESS_TOL, distance
+
+
+MEMBERS = st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0),
+                             st.floats(0.0, math.pi), PHASES), max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(MEMBERS, st.sampled_from(["a", "d", "c"]), st.sampled_from([-1.0, 1.0]),
+       st.floats(-1e-14, 1e-14), PHASES, st.sampled_from([1.0, 1e300, 1e308]),
+       st.integers(1, 2))
+def test_completeness_verdict_matches_numpy_sum(members, entry, sign, miss, phase, scale, copies):
+    # members with sum <= 0.9 I, completed by a Hermitian member whose sum
+    # misses I by COMPLETENESS_TOL + miss in one entry; then scaled (the
+    # 1e308 sums of two copies overflow to inf) and repeated
+    share = 0.9 / max(len(members), 1)
+    matrices = [share * _hermitian(lo, hi, angle, ph) for lo, hi, angle, ph in members]
+    rest = np.eye(2, dtype=complex) - sum(matrices, np.zeros((2, 2)))
+    gap = COMPLETENESS_TOL + miss
+    if entry == "c":
+        rest[1, 0] += gap * complex(math.cos(phase), math.sin(phase))
+        rest[0, 1] = rest[1, 0].conjugate()
+    else:
+        rest[(0, 0) if entry == "a" else (1, 1)] += sign * gap
+    matrices.append(rest)
+    # exactly Hermitian, so the scaled members stay effects
+    effects = [Effect(scale * 0.5 * (m + m.conj().T)) for m in matrices] * copies
+    expected, distance = _numpy_incomplete(effects)
+    # np.abs of a complex entry may differ from a float hypot in its last bits
+    assume(abs(distance - COMPLETENESS_TOL) >= 1e-20)
+    try:
+        Povm(effects)
+    except ValueError as error:
+        assert (str(error) == "incomplete POVM") == expected
+    else:
+        assert not expected
+
+
+@pytest.mark.parametrize("members", [
+    [np.diag([1e308, 1e308])] * 2,
+    [np.full((2, 2), 1e308)] * 2,
+    [np.full((2, 2), 1e300)] * 3,
+    [np.array([[1e308, 1e308j], [-1e308j, 1e308]])] * 2,
+], ids=["diagonal-overflow", "full-overflow", "1e300-full", "complex-overflow"])
+def test_overflowing_sum_is_incomplete_without_a_warning(members):
+    effects = [Effect(m) for m in members]
+    assert _numpy_incomplete(effects)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^incomplete POVM$"):
+            Povm(effects)
