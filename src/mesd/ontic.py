@@ -20,6 +20,7 @@ point is to verify the bound derivation on finite models where it is exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,11 @@ def ontic_success(model: FiniteOnticModel) -> float:
 
 def min_overlap(model: FiniteOnticModel, i: int, j: int) -> float:
     """Overlap sum_l min(mu_i(l), mu_j(l)) between two epistemic rows.
-    1 for identical rows, 0 for disjoint supports."""
+    1 for identical rows, 0 for disjoint supports.  Indices are integers,
+    numpy's included; a bool or a float is rejected, not read as a mask."""
+    for k in (i, j):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"preparation index must be an integer, got {k!r}")
     n = model.num_preparations
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"preparation index out of range for {n} preparations")

@@ -15,10 +15,12 @@ measurement.  The success is min(1, Tr Gamma), Tr Gamma = sum_i p_i
 solver's dual bound, but never below the success; `_verdict` validates the
 effects and orders the interval, so it is ordered by construction.
 
+The private functions share one format: states (p, x, y), prior p and real
+ket (x, y), in; effects as rows ((e_xx, e_xy), (e_xy, e_yy)) out.
 optimize_two scores its effects with `_certificate`, the dual in numpy for
 any complete POVM.  optimize_three takes both ends from `_active_set`, which
-scores the same dual per candidate in scalar floats and keeps a triple only
-if its effects sum to I within `COMPLETENESS_TOL`.
+scores the same dual per candidate in scalar floats, without numpy, and
+keeps a triple only if its effects sum to I within `COMPLETENESS_TOL`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .qcore import (
 
 _MAX_GRID_N = 2**20
 TWO_PI = 2.0 * math.pi
+_State = tuple[float, float, float]  # (p, x, y): prior p, real ket (x, y)
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,9 @@ def optimize_two(
     """
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [64, {_MAX_GRID_N}], got {grid_n}")
-    if refine_iters < 0:
+    if not refine_iters >= 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
-    priors = np.array(PriorDistribution((1.0 - p, p)).probabilities)
+    q1, q2 = PriorDistribution((1.0 - p, p)).probabilities
     t1, t2 = (math.atan2(y, x) for x, y in (s1.amplitudes, s2.amplitudes))
     alphas = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     values = p * np.sin(t2 - alphas) ** 2 + (1.0 - p) * np.cos(t1 - alphas) ** 2
@@ -117,42 +120,42 @@ def optimize_two(
     ket = make_state(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c)))).ket
     projector = np.outer(ket, ket)
     effects = np.array([projector, np.eye(2) - projector])
-    kets = np.array([s1.ket, s2.ket])
-    return _verdict(effects, grid_n + 1, *_certificate(kets, priors, effects))
+    states = [(q1, *s1.amplitudes), (q2, *s2.amplitudes)]
+    return _verdict(effects, grid_n + 1, *_certificate(states, effects))
 
 
-def _verdict(effects: np.ndarray, evaluations: int, value: float, bound: float) -> OracleResult:
-    """The validated `effects`, whose Tr Gamma is `value`, with the interval
-    success = min(1, value), dual_bound = max(success, bound), `bound` being
-    the solver's upper bound on every measurement's success: so
+def _verdict(effects: Sequence, evaluations: int, value: float, bound: float) -> OracleResult:
+    """The validated `effects` (2x2 rows or arrays), whose Tr Gamma is `value`,
+    with the interval success = min(1, value), dual_bound = max(success, bound),
+    `bound` being the solver's upper bound on every measurement's success: so
     success <= dual_bound, with no tolerance.  It computes nothing else."""
     povm = validate_povm(effects)
     success = min(1.0, value)
     return OracleResult(success, povm, evaluations, max(success, bound))
 
 
-def _certificate(
-    kets: np.ndarray, priors: np.ndarray, effects: np.ndarray
-) -> tuple[float, float]:
-    """(Tr Gamma, Tr Gamma + 2t) for the complete POVM `effects`: its success
-    and an upper bound on the success of every measurement.  With
-    Gamma = Herm(sum_i p_i rho_i E_i) and t = max_i lambda_max(p_i rho_i - Gamma)^+,
-    Gamma + t I dominates every p_i rho_i, so it is feasible for the
-    Holevo / Yuen-Kennedy-Lax dual, whose value is its trace."""
-    weighted = priors[:, None, None] * np.einsum("ia,ib->iab", kets, kets)
+def _certificate(states: Sequence[_State], effects: Sequence) -> tuple[float, float]:
+    """(Tr Gamma, Tr Gamma + 2t) for the complete POVM `effects` (rows or
+    arrays) on `states`: its success and an upper bound on every
+    measurement's success.  With Gamma = Herm(sum_i p_i rho_i E_i) and
+    t = max_i lambda_max(p_i rho_i - Gamma)^+, Gamma + t I dominates every
+    p_i rho_i, so it is feasible for the Holevo / Yuen-Kennedy-Lax dual,
+    whose value is its trace.  The arrays are built here from `states`."""
+    table = np.array(states)
+    weighted = table[:, 0, None, None] * np.einsum("ia,ib->iab", table[:, 1:], table[:, 1:])
     total = np.einsum("iab,ibc->ac", weighted, effects)
     gamma = 0.5 * (total + total.T)
     t = max(0.0, float(np.linalg.eigvalsh(weighted - gamma)[:, -1].max()))
     return float(np.trace(gamma)), float(np.trace(gamma)) + 2.0 * t
 
 
-def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, float, float]:
-    """Best effects, number of candidates scored, the best effects' Tr Gamma
-    and the smallest candidate's dual bound, `_verdict`'s arguments, for any
-    n >= 2 real kets, in scalar floats.  The Holevo / Yuen-Kennedy-Lax dual is
-    min Tr Gamma over symmetric 2x2 Gamma >= p_i rho_i, three unknowns, so
-    by Caratheodory some pair or triple of active constraints carries the
-    optimum: it is exact to score every candidate of both kinds.
+def _active_set(states: Sequence[_State]) -> tuple[list, int, float, float]:
+    """Best effects as rows, number of candidates scored, the best effects'
+    Tr Gamma and the smallest candidate's dual bound, `_verdict`'s arguments,
+    for any n >= 2 states, in scalar floats.  The Holevo / Yuen-Kennedy-Lax
+    dual is min Tr Gamma over symmetric 2x2 Gamma >= p_i rho_i, three
+    unknowns, so by Caratheodory some pair or triple of active constraints
+    carries the optimum: it is exact to score every candidate of both kinds.
 
     Pair (a, b): the Helstrom measurement, the projector on the positive
     eigenvector of p_a rho_a - p_b rho_b and its complement, or I to one
@@ -169,8 +172,7 @@ def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, 
     Tr Gamma = sum_i p_i k_i^T E_i k_i and t = max_i lambda_max(p_i rho_i - Gamma)^+,
     where lambda_max of a symmetric 2x2 m is
     (m_xx + m_yy)/2 + hypot((m_xx - m_yy)/2, m_xy).  The candidate of
-    largest Tr Gamma wins; its (n, 2, 2) effects are built once."""
-    states = list(zip(priors.tolist(), *kets.T.tolist()))
+    largest Tr Gamma wins; its n rows are built once."""
     candidates = [_pair(states, a, b) for a, b in combinations(range(len(states)), 2)]
     candidates += filter(None, (_triple(states, t) for t in combinations(range(len(states)), 3)))
     weighted = [(p * x * x, p * y * y, p * x * y) for p, x, y in states]  # p rho
@@ -191,10 +193,10 @@ def _active_set(kets: np.ndarray, priors: np.ndarray) -> tuple[np.ndarray, int, 
     rows = [((0.0, 0.0), (0.0, 0.0))] * len(states)
     for i, exx, exy, eyy in best:
         rows[i] = ((exx, exy), (exy, eyy))
-    return np.array(rows), len(candidates), value, dual
+    return rows, len(candidates), value, dual
 
 
-def _pair(states: list, a: int, b: int) -> list:
+def _pair(states: Sequence[_State], a: int, b: int) -> list:
     """Helstrom effects (index, e_xx, e_xy, e_yy) for outcomes a and b."""
     (pa, xa, ya), (pb, xb, yb) = states[a], states[b]
     mxx, myy = pa * xa * xa - pb * xb * xb, pa * ya * ya - pb * yb * yb
@@ -209,7 +211,7 @@ def _pair(states: list, a: int, b: int) -> list:
     return [(a, c * c, c * s, s * s), (b, s * s, -c * s, c * c)]
 
 
-def _triple(states: list, outcomes: tuple[int, int, int]) -> list | None:
+def _triple(states: Sequence[_State], outcomes: tuple[int, int, int]) -> list | None:
     """Effects (index, e_xx, e_xy, e_yy) of the triple whose three dual
     constraints are all active, or None if it has no such measurement."""
     picked = [states[i] for i in outcomes]
@@ -250,24 +252,21 @@ def optimize_three(
 ) -> OracleResult:
     """Maximize three-state success over all measurements, with a certificate.
 
-    Runs `_active_set` and returns the `_verdict` of its scalar scoring, with
-    no numpy linear algebra: its best POVM, that POVM's Tr Gamma, the
-    smallest candidate bound and the number of candidates scored: the
-    three pairs, plus the triple unless it has no measurement (theta = 0,
-    or below ~1e-76, where its weights underflow; p in {0, 1/2}; or p above
-    p*(theta), where E_3 = 0).  `grid_n` (>= 16)
-    and `refine_iters` (>= 0) are validated and accepted only; `seed` is
-    ignored.  There is no grid, no iteration and no random start, so every
-    seed gives the same result.
+    Runs `_active_set` and returns the `_verdict` of its scalar scoring,
+    without numpy: its best POVM, that POVM's Tr Gamma, the smallest
+    candidate bound and the number of candidates scored: the three pairs,
+    plus the triple unless it has no measurement (theta = 0, or below
+    ~1e-76, where its weights underflow; p in {0, 1/2}; or p above
+    p*(theta), where E_3 = 0).  `grid_n` (>= 16) and `refine_iters` (>= 0)
+    are validated and accepted only; `seed` is ignored.  There is no grid,
+    no iteration and no random start, so every seed gives the same result.
 
-    `MirrorEnsemble` is the one check of (theta, p): the kets (c, s),
-    (c, -s), (1, 0) with c, s = cos theta, sin theta and the priors
-    (p, p, 1 - 2p) are built from it directly, bit for bit those of
-    `ensemble.states()` and `ensemble.priors()`.
+    `MirrorEnsemble` is the one check of (theta, p): the states (p, c, s),
+    (p, c, -s), (1 - 2p, 1, 0) with c, s = cos theta, sin theta are built
+    from it directly, bit for bit the priors and kets of `ensemble.priors()`
+    and `ensemble.states()`.
     """
-    if grid_n < 16 or refine_iters < 0:
+    if not (grid_n >= 16 and refine_iters >= 0):
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
-    c, s, p = math.cos(ensemble.theta), math.sin(ensemble.theta), ensemble.prior_p
-    kets = np.array([(c, s), (c, -s), (1.0, 0.0)])
-    priors = np.array([p, p, 1.0 - 2.0 * p], dtype=float)
-    return _verdict(*_active_set(kets, priors))
+    c, s, p = math.cos(ensemble.theta), math.sin(ensemble.theta), float(ensemble.prior_p)
+    return _verdict(*_active_set([(p, c, s), (p, c, -s), (1.0 - 2.0 * p, 1.0, 0.0)]))

@@ -214,7 +214,7 @@ def validate_povm(effects: Sequence[Effect | np.ndarray]) -> Povm:
     within 1e-9, and ValueError("oversized effect ...") for an eigenvalue
     above EFFECT_MAX, which the Born rule could not score.
     """
-    wrapped = tuple(e if isinstance(e, Effect) else Effect(np.asarray(e)) for e in effects)
+    wrapped = tuple(e if isinstance(e, Effect) else Effect(e) for e in effects)
     return Povm(wrapped)
 
 

@@ -88,6 +88,21 @@ class TestMinOverlap:
         with pytest.raises(ValueError):
             min_overlap(m, 0, 5)
 
+    @pytest.mark.parametrize(
+        "j", [True, False, np.bool_(True), 1.5, 1.0, np.float64(1.0), None, "1"], ids=repr
+    )
+    def test_rejects_non_integer_indices(self, j):
+        # numpy would read a bool as a mask and a float as a bad index
+        m = model([[1.0, 0.0], [0.5, 0.5]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="preparation index must be an integer"):
+            min_overlap(m, 0, j)
+        with pytest.raises(ValueError, match="preparation index must be an integer"):
+            min_overlap(m, j, 0)
+
+    def test_numpy_integer_indices(self):
+        m = model([[1.0, 0.0], [0.5, 0.5]], [0.5, 0.5])
+        assert min_overlap(m, np.int64(0), np.int32(1)) == min_overlap(m, 0, 1) == 0.5
+
 
 class TestTwoStateBound:
     def test_equality_case(self):

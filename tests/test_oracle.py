@@ -154,6 +154,11 @@ class TestOptimizeTwo:
         r = optimize_two(make_state(0.0), make_state(1.0), 0.5)
         assert r.evaluations >= 1024
 
+    @pytest.mark.parametrize("knob", ["grid_n", "refine_iters"])
+    def test_rejects_nan_knobs(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} must .*, got nan"):
+            optimize_two(make_state(0.0), make_state(1.0), 0.5, **{knob: math.nan})
+
 
 class TestSuccessThree:
     def test_trine_povm_on_trine_ensemble(self):
@@ -239,6 +244,12 @@ class TestOptimizeThree:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             optimize_three(TRINE, grid_n=8)
+
+    @pytest.mark.parametrize("knobs,got", [({"grid_n": math.nan}, "nan, 200"),
+                                           ({"refine_iters": math.nan}, "64, nan")])
+    def test_rejects_nan_knobs(self, knobs, got):
+        with pytest.raises(ValueError, match=f"need grid_n >= 16, refine_iters >= 0, got {got}"):
+            optimize_three(TRINE, **knobs)
 
 
 @pytest.mark.parametrize("weights,angles", [
@@ -351,30 +362,35 @@ def test_result_does_not_depend_on_seed_or_grid():
     assert reference == optimize_three(ensemble, seed=-1)
 
 
+def ensemble_states(states, priors) -> list:
+    """The private layer's states (p, x, y) of these `PureState`s and priors."""
+    return [(q, *s.amplitudes) for q, s in zip(priors, states)]
+
+
 def two_case(sep, p):
     return (lambda: optimize_two(make_state(0.0), make_state(sep), p),
-            [make_state(0.0).ket, make_state(sep).ket], [1.0 - p, p])
+            ensemble_states((make_state(0.0), make_state(sep)), (1.0 - p, p)))
 
 
 def three_case(theta, p):
     ensemble = MirrorEnsemble(theta, p)
-    return (lambda: optimize_three(ensemble), [s.ket for s in ensemble.states()],
-            ensemble.priors().probabilities)
+    return (lambda: optimize_three(ensemble),
+            ensemble_states(ensemble.states(), ensemble.priors().probabilities))
 
 
 # the last three had dual_bound below success by a few ulps when the success
 # was scored a second time through the complex Born rule
-@pytest.mark.parametrize("solve,kets,priors", [
+@pytest.mark.parametrize("solve,states", [
     two_case(0.4, 0.3),
     three_case(0.7, 0.2),
     three_case(0.45039278944848277, 0.37801416068305643),
     three_case(1e-107, 0.4),
     two_case(0.6132699954853426, 0.5),
 ], ids=["two", "three", "three-inverted", "three-tiny-theta", "two-inverted"])
-def test_reported_povm_is_the_certified_one(solve, kets, priors):
+def test_reported_povm_is_the_certified_one(solve, states):
     r = solve()
     effects = np.array([e.matrix.real for e in r.povm.effects])
-    value, bound = oracle._certificate(np.array(kets), np.array(priors), effects)
+    value, bound = oracle._certificate(states, effects)
     assert value == pytest.approx(r.success, abs=1e-15)
     assert r.success <= r.dual_bound <= bound
 
@@ -403,11 +419,10 @@ def test_certificate_holds_on_a_mirror_grid():
         for p in np.linspace(0.0, 0.5, 61).tolist():
             ensemble = MirrorEnsemble(theta, p)
             r = optimize_three(ensemble)
-            kets = np.array([s.ket for s in ensemble.states()])
-            priors = np.array(ensemble.priors().probabilities)
+            states = ensemble_states(ensemble.states(), ensemble.priors().probabilities)
             effects = np.array([e.matrix.real for e in r.povm.effects])
-            value, bound = oracle._certificate(kets, priors, effects)
-            _, _, scalar_value, scalar_bound = oracle._active_set(kets, priors)
+            value, bound = oracle._certificate(states, effects)
+            _, _, scalar_value, scalar_bound = oracle._active_set(states)
             assert r.dual_bound - r.success <= 1e-13, (theta, p)
             assert abs(r.success - quantum_three(ensemble)) <= 1e-12, (theta, p)
             assert abs(value - r.success) <= 1e-15, (theta, p)
@@ -428,23 +443,51 @@ def asymmetric_triples():
         yield rng.uniform(0.0, math.pi, 3), rng.dirichlet((1.0, 1.0, 1.0))
 
 
+def angle_states(angles, priors) -> list:
+    """States (p, x, y) with real kets at `angles`, computed by numpy."""
+    kets = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return list(zip(np.asarray(priors, dtype=float).tolist(), *kets.T.tolist()))
+
+
 def solve_kets(angles, priors) -> oracle.OracleResult:
     """`optimize_three`'s solver and verdict on real kets at `angles`."""
-    kets = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    priors = np.asarray(priors, dtype=float)
-    return oracle._verdict(*oracle._active_set(kets, priors))
+    return oracle._verdict(*oracle._active_set(angle_states(angles, priors)))
 
 
 def test_active_set_certifies_asymmetric_triples():
     # effects that miss I are no measurement and can beat their own dual
     # bound, so both are checked; the first triple is ill-conditioned
     for angles, priors in asymmetric_triples():
-        kets, priors = np.stack([np.cos(angles), np.sin(angles)], axis=1), np.asarray(priors)
-        effects, evaluations, value, dual = oracle._active_set(kets, priors)
-        assert np.abs(effects.sum(axis=0) - np.eye(2)).max() <= 1e-9, (angles, priors)
-        assert dual >= oracle._certificate(kets, priors, effects)[0] - 1e-13, (angles, priors)
+        states = angle_states(angles, priors)
+        effects, evaluations, value, dual = oracle._active_set(states)
+        assert np.abs(np.sum(effects, axis=0) - np.eye(2)).max() <= 1e-9, (angles, priors)
+        assert dual >= oracle._certificate(states, effects)[0] - 1e-13, (angles, priors)
         r = oracle._verdict(effects, evaluations, value, dual)
         assert r.dual_bound - r.success <= 1e-9, (angles, priors)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_active_set_certifies_random_ensembles_of_more_than_three_kets(n):
+    # 100 seeded ensembles: angles uniform on [0, pi), Dirichlet(1, ..., 1) priors
+    rng = np.random.default_rng(n)
+    for _ in range(100):
+        angles, priors = rng.uniform(0.0, math.pi, n), rng.dirichlet(np.ones(n))
+        states = angle_states(angles, priors)
+        effects, evaluations, value, dual = oracle._active_set(states)
+        assert np.abs(np.sum(effects, axis=0) - np.eye(2)).max() <= 1e-9, (angles, priors)
+        assert abs(oracle._certificate(states, effects)[0] - value) <= 1e-15, (angles, priors)
+        r = oracle._verdict(effects, evaluations, value, dual)
+        assert r.success <= r.dual_bound, (angles, priors)
+        assert r.dual_bound - r.success <= 1e-12, (angles, priors)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_active_set_on_evenly_spaced_rays(n):
+    # equal priors 1/n: Gamma = I/n is feasible, with trace 2/n, and the
+    # uniform POVM (2/n) |k><k| reaches it
+    r = solve_kets([math.pi * k / n for k in range(n)], [1.0 / n] * n)
+    assert r.success == pytest.approx(2 / n, abs=1e-15)
+    assert r.dual_bound - r.success <= 1e-15
 
 
 def test_active_set_matches_the_reference_at_log_spaced_points():
@@ -470,10 +513,9 @@ def test_active_set_winner_has_the_closed_form_support():
     # (theta in {0, pi/2} or p in {0, 1/2}) two kets coincide or a prior vanishes.
     for theta in (HALF_PI * i / 120 for i in range(1, 120)):
         c, s = math.cos(theta), math.sin(theta)
-        kets = np.array([(c, s), (c, -s), (1.0, 0.0)])
         for p in (0.5 * j / 120 for j in range(1, 120)):
-            effects = oracle._active_set(kets, np.array([p, p, 1.0 - 2.0 * p]))[0]
-            support = {i + 1 for i in range(3) if effects[i].any()}
+            effects = oracle._active_set([(p, c, s), (p, c, -s), (1.0 - 2.0 * p, 1.0, 0.0)])[0]
+            support = {i + 1 for i in range(3) if np.any(effects[i])}
             branch = quantum_three_branch(MirrorEnsemble(theta, p))
             assert support == ({1, 2} if branch == "high-prior" else {1, 2, 3}), (theta, p)
 
@@ -509,22 +551,35 @@ def mirror_points():
 def test_optimize_three_builds_the_ensembles_kets_and_priors(monkeypatch):
     seen = []
 
-    def active_set(kets, priors):
-        seen.append((kets, priors))
-        return solve(kets, priors)
+    def active_set(states):
+        seen.append(states)
+        return solve(states)
 
     solve = oracle._active_set
     monkeypatch.setattr(oracle, "_active_set", active_set)
     for theta, p in mirror_points():
         ensemble = MirrorEnsemble(theta, p)
         optimize_three(ensemble)
-        kets, priors = seen.pop()
+        table = np.array(seen.pop())
+        kets, priors = table[:, 1:], table[:, 0]
         expected_kets = np.array([s.ket for s in ensemble.states()])
         expected_priors = np.array(ensemble.priors().probabilities)
         for got, expected in ((kets, expected_kets), (priors, expected_priors)):
             # bit for bit: tobytes tells -0.0 (the kets' sin(-0.0)) from 0.0
             assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
             assert got.tobytes() == expected.tobytes(), (theta, p)
+
+
+def test_optimize_three_uses_no_numpy(monkeypatch):
+    # the three-state path runs in Python floats from MirrorEnsemble to _verdict
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"oracle.np.{name} used")
+
+    monkeypatch.setattr(oracle, "np", NoNumpy())
+    for theta, p in mirror_points():
+        r = optimize_three(MirrorEnsemble(theta, p))
+        assert r.success - 1e-12 <= reference_three(theta, p) <= r.dual_bound + 1e-12, (theta, p)
 
 
 def test_optimize_three_calls_no_numpy_linear_algebra(monkeypatch):
