@@ -251,7 +251,12 @@ def _normalized(mu_draws: np.ndarray, prior_draws: np.ndarray) -> tuple[np.ndarr
 def random_model(
     num_preparations: int, num_lambdas: int, rng: np.random.Generator
 ) -> FiniteOnticModel:
-    """Random valid model: rows and priors are normalized positive vectors."""
+    """Random valid model: rows and priors are normalized positive vectors.
+    Both sizes are integers >= 1, numpy's included; a bool or a float is
+    rejected, not handed to numpy."""
+    for size in (num_preparations, num_lambdas):
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"model sizes must be integers >= 1, got {size!r}")
     mu_draws = rng.random((num_preparations, num_lambdas))
     mu, priors = _normalized(mu_draws, rng.random(num_preparations))
     return FiniteOnticModel(distributions=mu, priors=PriorDistribution(tuple(priors)))

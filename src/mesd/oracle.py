@@ -26,6 +26,7 @@ keeps a triple only if its effects sum to I within `COMPLETENESS_TOL`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -99,9 +100,12 @@ def optimize_two(
     grid step of the best grid angle.  Returns the projective POVM at the
     peak (outcome 1 guesses s1) with the `_verdict` of its `_certificate`.
     A prior p outside [0, 1], NaN included, is rejected by `PriorDistribution`.
-    grid_n must lie in [64, 2**20], which bounds the memory of the grid (one
-    float per angle).  refine_iters (>= 0) is validated and accepted only.
+    grid_n must be an integer (numpy's included, bool not) in [64, 2**20],
+    which bounds the memory of the grid (one float per angle).
+    refine_iters (>= 0) is validated and accepted only.
     """
+    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [64, {_MAX_GRID_N}], got {grid_n}")
     if not refine_iters >= 0:
@@ -177,6 +181,7 @@ def _active_set(states: Sequence[_State]) -> tuple[list, int, float, float]:
     candidates += filter(None, (_triple(states, t) for t in combinations(range(len(states)), 3)))
     weighted = [(p * x * x, p * y * y, p * x * y) for p, x, y in states]  # p rho
     best, value, dual = None, -math.inf, math.inf
+    hypot = math.hypot
     for effects in candidates:
         gxx = gxy = gyy = 0.0
         for i, exx, exy, eyy in effects:
@@ -186,8 +191,12 @@ def _active_set(states: Sequence[_State]) -> tuple[list, int, float, float]:
         t = 0.0
         for rxx, ryy, rxy in weighted:
             mxx, myy = rxx - gxx, ryy - gyy
-            t = max(t, 0.5 * (mxx + myy) + math.hypot(0.5 * (mxx - myy), rxy - gxy))
-        dual = min(dual, gxx + gyy + 2.0 * t)
+            top = 0.5 * (mxx + myy) + hypot(0.5 * (mxx - myy), rxy - gxy)
+            if top > t:  # as max(t, top): a NaN top keeps t
+                t = top
+        bound = gxx + gyy + 2.0 * t
+        if bound < dual:  # as min(dual, bound): a NaN bound keeps dual
+            dual = bound
         if gxx + gyy > value:
             best, value = effects, gxx + gyy
     rows = [((0.0, 0.0), (0.0, 0.0))] * len(states)
@@ -213,35 +222,48 @@ def _pair(states: Sequence[_State], a: int, b: int) -> list:
 
 def _triple(states: Sequence[_State], outcomes: tuple[int, int, int]) -> list | None:
     """Effects (index, e_xx, e_xy, e_yy) of the triple whose three dual
-    constraints are all active, or None if it has no such measurement."""
-    picked = [states[i] for i in outcomes]
-    if not all(p > 0.0 for p, _, _ in picked):
+    constraints are all active, or None if it has no such measurement.
+
+    Straight-line algebra on the three picked states: state k's others are
+    k - 2 and k - 1, so (1, 2), (2, 0) and (0, 1), and every sum runs over
+    k in order, as a loop would.  X's entries start at 0.0, so terms that
+    are all -0.0 sum to 0.0; the completeness sums need not, as abs()
+    drops the sign of a zero."""
+    a, b, c = outcomes
+    (p0, x0, y0), (p1, x1, y1), (p2, x2, y2) = states[a], states[b], states[c]
+    if not (p0 > 0.0 and p1 > 0.0 and p2 > 0.0):
         return None
-    others = [(picked[k - 2][1:], picked[k - 1][1:]) for k in range(3)]
-    crosses = [(xj * y - yj * x) * (xm * y - ym * x)
-               for (_, x, y), ((xj, yj), (xm, ym)) in zip(picked, others)]
-    if 0.0 in crosses:  # two kets on one ray, in floats
+    d0 = (x1 * y0 - y1 * x0) * (x2 * y0 - y2 * x0)
+    d1 = (x2 * y1 - y2 * x1) * (x0 * y1 - y0 * x1)
+    d2 = (x0 * y2 - y0 * x2) * (x1 * y2 - y1 * x2)
+    if d0 == 0.0 or d1 == 0.0 or d2 == 0.0:  # two kets on one ray, in floats
         return None
-    axx = axy = ayy = 0.0  # X = Gamma^-1
-    for (p, _, _), ((xj, yj), (xm, ym)), d in zip(picked, others, crosses):
-        q = 1.0 / p / d  # p * d may underflow to 0; an inf here fails a test below
-        axx, axy, ayy = axx + q * yj * ym, axy - 0.5 * q * (yj * xm + xj * ym), ayy + q * xj * xm
+    # p * d may underflow to 0; an inf here fails a test below
+    q0, q1, q2 = 1.0 / p0 / d0, 1.0 / p1 / d1, 1.0 / p2 / d2
+    axx = 0.0 + q0 * y1 * y2 + q1 * y2 * y0 + q2 * y0 * y1  # X = Gamma^-1
+    axy = (0.0 - 0.5 * q0 * (y1 * x2 + x1 * y2) - 0.5 * q1 * (y2 * x0 + x2 * y0)
+           - 0.5 * q2 * (y0 * x1 + x0 * y1))
+    ayy = 0.0 + q0 * x1 * x2 + q1 * x2 * x0 + q2 * x0 * x1
     det = axx * ayy - axy * axy
     if not (axx > 0.0 and det > 0.0):
         return None
     gxx, gxy, gyy = ayy / det, -axy / det, axx / det
-    effects = []
-    for i, (_, x, y), ((xj, yj), (xm, ym)), d in zip(outcomes, picked, others, crosses):
-        w = ((gxy * xj - gxx * yj) * (gxy * xm - gxx * ym)
-             + (gyy * xj - gxy * yj) * (gyy * xm - gxy * ym)) / d
-        if not w >= 0.0:
-            return None
-        u, v = axx * x + axy * y, axy * x + ayy * y
-        effects.append((i, w * u * u, w * u * v, w * v * v))
-    sxx, sxy, syy = (sum(e[k] for e in effects) for k in (1, 2, 3))
-    if not max(abs(sxx - 1.0), abs(sxy), abs(syy - 1.0)) <= COMPLETENESS_TOL:
+    r0, s0 = gxy * x0 - gxx * y0, gyy * x0 - gxy * y0  # Gamma u_k
+    r1, s1 = gxy * x1 - gxx * y1, gyy * x1 - gxy * y1
+    r2, s2 = gxy * x2 - gxx * y2, gyy * x2 - gxy * y2
+    w0, w1, w2 = (r1 * r2 + s1 * s2) / d0, (r2 * r0 + s2 * s0) / d1, (r0 * r1 + s0 * s1) / d2
+    if not (w0 >= 0.0 and w1 >= 0.0 and w2 >= 0.0):
         return None
-    return effects
+    u0, v0 = axx * x0 + axy * y0, axy * x0 + ayy * y0  # X k_k
+    u1, v1 = axx * x1 + axy * y1, axy * x1 + ayy * y1
+    u2, v2 = axx * x2 + axy * y2, axy * x2 + ayy * y2
+    exx0, exy0, eyy0 = w0 * u0 * u0, w0 * u0 * v0, w0 * v0 * v0
+    exx1, exy1, eyy1 = w1 * u1 * u1, w1 * u1 * v1, w1 * v1 * v1
+    exx2, exy2, eyy2 = w2 * u2 * u2, w2 * u2 * v2, w2 * v2 * v2
+    if not max(abs(exx0 + exx1 + exx2 - 1.0), abs(exy0 + exy1 + exy2),
+               abs(eyy0 + eyy1 + eyy2 - 1.0)) <= COMPLETENESS_TOL:
+        return None
+    return [(a, exx0, exy0, eyy0), (b, exx1, exy1, eyy1), (c, exx2, exy2, eyy2)]
 
 
 def optimize_three(

@@ -124,7 +124,7 @@ class Effect:
             raise ValueError("non-Hermitian effect")
         if not _is_psd(a.real + PSD_TOL, d.real + PSD_TOL, c):
             raise ValueError("non-positive effect")
-        m.flags.writeable = False
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def __eq__(self, other: object) -> bool:
@@ -166,12 +166,12 @@ class Povm:
     EFFECT_MAX*I - M: with x = EFFECT_MAX - Re a and y = EFFECT_MAX - Re d,
     x >= 0, y >= 0 and x*y >= |c|*|c|.
 
-    Both tests run in one pass over the members, in Python floats: the real
-    and imaginary parts of each entry are summed in member order, so the sum
-    is bit for bit numpy's axis-0 sum of the stacked matrices.  An
-    incomplete POVM is reported before an oversized member.  Members must
-    be `Effect`s (any iterable of them is kept as a tuple); `validate_povm`
-    takes raw matrices.
+    Both tests run in one pass over the members, in Python numbers: each
+    entry is summed as a complex in member order, one float add each for its
+    real and imaginary parts, so the sum is bit for bit numpy's axis-0 sum of
+    the stacked matrices.  An incomplete POVM is reported before an
+    oversized member.  Members must be `Effect`s (any iterable of them is
+    kept as a tuple); `validate_povm` takes raw matrices.
     """
 
     effects: tuple[Effect, ...]
@@ -181,7 +181,7 @@ class Povm:
         effects = tuple(self.effects)
         if not effects:
             raise ValueError("POVM needs at least one effect")
-        ar = ai = br = bi = cr = ci = dr = di = 0.0
+        sa = sb = sc = sd = 0j
         oversized = False
         for e in effects:
             if not isinstance(e, Effect):
@@ -190,13 +190,12 @@ class Povm:
                     "validate_povm takes raw matrices"
                 )
             (a, b), (c, d) = e.matrix.tolist()
-            ar, ai, br, bi = ar + a.real, ai + a.imag, br + b.real, bi + b.imag
-            cr, ci, dr, di = cr + c.real, ci + c.imag, dr + d.real, di + d.imag
+            sa, sb, sc, sd = sa + a, sb + b, sc + c, sd + d
             oversized = oversized or not _is_psd(EFFECT_MAX - a.real, EFFECT_MAX - d.real, c)
-        if not (math.hypot(ar - 1.0, ai) <= COMPLETENESS_TOL
-                and math.hypot(br, bi) <= COMPLETENESS_TOL
-                and math.hypot(cr, ci) <= COMPLETENESS_TOL
-                and math.hypot(dr - 1.0, di) <= COMPLETENESS_TOL):
+        if not (math.hypot(sa.real - 1.0, sa.imag) <= COMPLETENESS_TOL
+                and math.hypot(sb.real, sb.imag) <= COMPLETENESS_TOL
+                and math.hypot(sc.real, sc.imag) <= COMPLETENESS_TOL
+                and math.hypot(sd.real - 1.0, sd.imag) <= COMPLETENESS_TOL):
             raise ValueError("incomplete POVM")
         if oversized:
             raise ValueError("oversized effect: an eigenvalue above 1")
@@ -214,8 +213,7 @@ def validate_povm(effects: Sequence[Effect | np.ndarray]) -> Povm:
     within 1e-9, and ValueError("oversized effect ...") for an eigenvalue
     above EFFECT_MAX, which the Born rule could not score.
     """
-    wrapped = tuple(e if isinstance(e, Effect) else Effect(e) for e in effects)
-    return Povm(wrapped)
+    return Povm([e if isinstance(e, Effect) else Effect(e) for e in effects])
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,19 @@ class TestRandomModel:
                 expected = model(mu, priors / priors.sum())
                 assert random_model(k, size, rng) == expected
 
+    @pytest.mark.parametrize(
+        "sizes", [(3, 2.5), (3, True), (True, 3), (np.bool_(True), 3), (3, 4.0), (3, None),
+                  (0, 3), (3, 0), (3, -1)], ids=repr
+    )
+    def test_rejects_bad_sizes(self, sizes):
+        # numpy would raise TypeError, or read a bool as 1
+        with pytest.raises(ValueError, match="model sizes must be integers >= 1"):
+            random_model(*sizes, np.random.default_rng(0))
+
+    def test_numpy_integer_sizes(self):
+        expected = random_model(3, 4, np.random.default_rng(5))
+        assert random_model(np.int64(3), np.int32(4), np.random.default_rng(5)) == expected
+
 
 def reference_two(m: FiniteOnticModel) -> tuple:
     """The one-model two-state check written out with scalar arithmetic."""

@@ -159,6 +159,16 @@ class TestOptimizeTwo:
         with pytest.raises(ValueError, match=f"{knob} must .*, got nan"):
             optimize_two(make_state(0.0), make_state(1.0), 0.5, **{knob: math.nan})
 
+    @pytest.mark.parametrize("grid_n", [64.5, 128.0, np.float64(128.0), True, "128"], ids=repr)
+    def test_rejects_a_grid_n_that_is_no_integer(self, grid_n):
+        # numpy's linspace would raise TypeError, or read True as 1
+        with pytest.raises(ValueError, match="grid_n must be an integer, got"):
+            optimize_two(make_state(0.0), make_state(1.0), 0.5, grid_n=grid_n)
+
+    def test_numpy_integer_grid_n(self):
+        args = make_state(0.0), make_state(1.0), 0.3
+        assert optimize_two(*args, grid_n=np.int32(100)) == optimize_two(*args, grid_n=100)
+
 
 class TestSuccessThree:
     def test_trine_povm_on_trine_ensemble(self):
@@ -536,6 +546,86 @@ def test_triple_with_an_indefinite_dual_is_not_scored():
                    (0.014922235208191139, 0.8899345397004653, 0.09514322509134346))
     assert r.evaluations == 3
     assert r.dual_bound - r.success <= 1e-15
+
+
+def loop_triple(states, outcomes):
+    """`oracle._triple` written as loops over k, the reference for the
+    straight-line one.  Its completeness sums add left to right from 0.0,
+    as sum() does before Python 3.12, whose sum() of floats compensates."""
+    picked = [states[i] for i in outcomes]
+    if not all(p > 0.0 for p, _, _ in picked):
+        return None
+    others = [(picked[k - 2][1:], picked[k - 1][1:]) for k in range(3)]
+    crosses = [(xj * y - yj * x) * (xm * y - ym * x)
+               for (_, x, y), ((xj, yj), (xm, ym)) in zip(picked, others)]
+    if 0.0 in crosses:
+        return None
+    axx = axy = ayy = 0.0
+    for (p, _, _), ((xj, yj), (xm, ym)), d in zip(picked, others, crosses):
+        q = 1.0 / p / d
+        axx, axy, ayy = axx + q * yj * ym, axy - 0.5 * q * (yj * xm + xj * ym), ayy + q * xj * xm
+    det = axx * ayy - axy * axy
+    if not (axx > 0.0 and det > 0.0):
+        return None
+    gxx, gxy, gyy = ayy / det, -axy / det, axx / det
+    effects = []
+    for i, (_, x, y), ((xj, yj), (xm, ym)), d in zip(outcomes, picked, others, crosses):
+        w = ((gxy * xj - gxx * yj) * (gxy * xm - gxx * ym)
+             + (gyy * xj - gxy * yj) * (gyy * xm - gxy * ym)) / d
+        if not w >= 0.0:
+            return None
+        u, v = axx * x + axy * y, axy * x + ayy * y
+        effects.append((i, w * u * u, w * u * v, w * v * v))
+    sums = [0.0, 0.0, 0.0]
+    for e in effects:
+        sums = [sums[k] + e[k + 1] for k in range(3)]
+    sxx, sxy, syy = sums
+    if not max(abs(sxx - 1.0), abs(sxy), abs(syy - 1.0)) <= oracle.COMPLETENESS_TOL:
+        return None
+    return effects
+
+
+def triple_cases():
+    """6000 seeded (states, outcomes), each with its outcomes in a random
+    order: near-trines, random triples, one prior zeroed (0.0 or -0.0) and
+    two kets on one ray, all with kets of mixed signs (and, but for the
+    near-trines, lengths), then mirror triples at theta from 1e-160 to 1."""
+    rng = np.random.default_rng(28)
+    for n in range(6000):
+        kind = n % 5
+        angles = rng.uniform(-math.pi, math.pi, 3)
+        priors = rng.dirichlet((1.0, 1.0, 1.0)).tolist()
+        if kind == 0:
+            angles = angles[0] + np.array([0.0, 1.0, 2.0]) * math.pi / 3 + rng.normal(0.0, 0.05, 3)
+            priors = rng.dirichlet((30.0, 30.0, 30.0)).tolist()
+        scales = rng.choice([-1.0, 1.0], 3) * (1.0 if kind == 0 else rng.uniform(0.5, 2.0, 3))
+        kets = [(r * math.cos(a), r * math.sin(a))
+                for a, r in zip(angles.tolist(), scales.tolist())]
+        if kind == 2:
+            priors[n % 3] = (0.0, -0.0)[n % 2]
+        elif kind == 3:
+            x, y = kets[n % 3]
+            kets[(n + 1) % 3] = (x, y) if n % 2 else (-x, -y)
+        elif kind == 4:
+            theta = float(10.0 ** rng.uniform(-160.0, 0.0))
+            p = float(rng.uniform(0.0, 0.5))
+            c, s = math.cos(theta), math.sin(theta)
+            priors, kets = [p, p, 1.0 - 2.0 * p], [(c, s), (c, -s), (1.0, 0.0)]
+        states = [(q, x, y) for q, (x, y) in zip(priors, kets)]
+        yield states, tuple(rng.permutation(3).tolist())
+
+
+def test_triple_matches_its_loop_form_bit_for_bit():
+    # + - * / only: the same operations in the same order give the same bits
+    def bits(effects):
+        return None if effects is None else [(i, *map(float.hex, e)) for i, *e in effects]
+
+    scored = 0
+    for states, outcomes in triple_cases():
+        reference = bits(loop_triple(states, outcomes))
+        assert bits(oracle._triple(states, outcomes)) == reference, (states, outcomes)
+        scored += reference is not None
+    assert scored >= 1000  # most near-trines and many mirror triples have a measurement
 
 
 def mirror_points():
