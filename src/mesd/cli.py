@@ -25,13 +25,14 @@ rendered with one `%` of a slice-wide template built once per map: the cell
 template (a CSV line, or a JSON object laid out as `json.dumps(..., indent=2)`
 would place it) joined once per cell.  The prior column, rendered once per
 map, is all its memory holds per prior, about 80 bytes, so `--prior-steps` is
-at most 2**20.  `ontic-check` draws and checks its models in chunks of at most
-1024, one `ontic.check_models` call per ontic-space size in a chunk, so its
-memory does not depend on `--num-models`.  Angles take radians (`--theta`,
-`--sep`) or degrees (`--theta-deg`, `--sep-deg`); `ontic-check --seed` must
-be >= 0.  The oracles call `optimize_two` and `optimize_three` at their
-defaults: no flag sets their `grid_n`, `refine_iters` or `seed`, which steer
-nothing.
+at most 2**20.  `ontic-check` draws each model into the next row of its
+ontic-space size's group of `_ONTIC_GROUP` rows, and checks a group, with one
+`ontic.check_models` call per number of preparations, when it is full and at
+the end; its memory does not depend on `--num-models`.  Angles take radians
+(`--theta`, `--sep`) or degrees (`--theta-deg`, `--sep-deg`); `ontic-check
+--seed` must be >= 0.  The oracles call `optimize_two` and `optimize_three` at
+their defaults: no flag sets their `grid_n`, `refine_iters` or `seed`, which
+steer nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ EXIT_IO = 3
 EXIT_TOLERANCE = 4
 _MAP_CHUNK = 256  # cells per piece of the map file; bounds the memory of a piece
 _MAX_PRIOR_STEPS = 2**20  # the prior column map holds: about 80 MB at this bound
-_ONTIC_CHUNK = 1024  # models drawn, then checked, at a time; bounds memory on any count
+_ONTIC_GROUP = 80  # models per ontic-space size checked at once; 80 x 22.3 KB over L = 2..32
 _MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
 
 
@@ -285,34 +286,51 @@ def _run_oracle(expected: float, result: oracle.OracleResult, args) -> None:
                        f"|oracle - analytic| = {difference!r} exceeds --tol {args.tol!r}")
 
 
+def _drawn_groups(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Draw `n` models and yield them as `(rows, L)` groups of one ontic-space
+    size L, each row one model's 5L + 5 raw draws.  A group is yielded when
+    its `_ONTIC_GROUP` rows are full, and its buffer is then reused; the
+    partly filled groups follow, in order of L."""
+    groups: list[np.ndarray | None] = [None] * 33
+    filled = [0] * 33
+    for _ in range(n):
+        # Each model draws its size L, then the raw rows and priors of its
+        # two- and three-preparation models: 2L, 2, 3L and 3 doubles, which
+        # one `rng.random(out=row)` yields in the same order as four calls.
+        size = int(rng.integers(2, 33))
+        rows = groups[size]
+        if rows is None:
+            rows = groups[size] = np.empty((_ONTIC_GROUP, 5 * size + 5))
+        i = filled[size]
+        rng.random(out=rows[i])
+        if i + 1 < _ONTIC_GROUP:
+            filled[size] = i + 1
+        else:
+            filled[size] = 0
+            yield rows, size
+    for size, count in enumerate(filled):
+        if count:
+            yield groups[size][:count], size
+
+
 def cmd_ontic_check(args: argparse.Namespace) -> None:
     if args.num_models < 1:
         raise ValueError(f"--num-models must be >= 1, got {args.num_models}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
     n = args.num_models
     two_pass = three_pass = identity_pass = 0
-    for start in range(0, n, _ONTIC_CHUNK):
-        # Each model draws its size, then the raw rows and priors of its two-
-        # and three-preparation models: 2L, 2, 3L and 3 doubles, which one
-        # `rng.random(5L + 5)` yields in the same order as four calls would.
-        draws: dict[int, list[np.ndarray]] = {}
-        for _ in range(min(_ONTIC_CHUNK, n - start)):
-            size = int(rng.integers(2, 33))
-            draws.setdefault(size, []).append(rng.random(5 * size + 5))
-        for size, rows in draws.items():
-            mu2, p2, mu3, p3 = np.split(np.array(rows), [2 * size, 2 * size + 2, 5 * size + 2],
-                                        axis=1)
-            two = ontic.check_models(*ontic._normalized(mu2.reshape(-1, 2, size), p2))
-            three = ontic.check_models(*ontic._normalized(mu3.reshape(-1, 3, size), p3))
-            two_pass += int(two.passed.sum())
-            three_pass += int(three.passed.sum())
-            identity_pass += int(three.decomposition_passed.sum())
+    for rows, size in _drawn_groups(np.random.default_rng(args.seed), n):
+        mu2, p2, mu3, p3 = np.split(rows, [2 * size, 2 * size + 2, 5 * size + 2], axis=1)
+        two = ontic.check_models(*ontic._normalized(mu2.reshape(-1, 2, size), p2))
+        three = ontic.check_models(*ontic._normalized(mu3.reshape(-1, 3, size), p3))
+        two_pass += int(two.passed.sum())
+        three_pass += int(three.passed.sum())
+        identity_pass += int(three.decomposition_passed.sum())
     lines = [f"two-state bound: {two_pass}/{n} pass\n",
              f"three-state bound: {three_pass}/{n} pass\n",
              f"decomposition identity: {identity_pass}/{n} pass\n"]
-    if n == 1:  # one model, one size group: `two` and `three` hold its checks
+    if n == 1:  # one model, one partial group: `two` and `three` hold its checks
         lines[:0] = [f"two-state: success={_fmt(two.success.item())} "
                      f"overlap={_fmt(two.overlaps.item())} "
                      f"bound={_fmt(two.bound.item())} passed={two.passed.item()}\n",

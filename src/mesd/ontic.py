@@ -42,7 +42,7 @@ class FiniteOnticModel:
     priors: PriorDistribution
 
     def __post_init__(self) -> None:
-        mu = np.array(self.distributions, dtype=float)
+        mu = np.array(_real(self.distributions, "distributions"), dtype=float)
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ValueError(f"distributions must be a 2-D matrix, got shape {mu.shape}")
         _check_rows(mu, len(self.priors))
@@ -63,6 +63,15 @@ class FiniteOnticModel:
     def weighted_joints(self) -> np.ndarray:
         """Rows p_i * mu_i(.): the joint mass of (preparation, ontic state)."""
         return np.asarray(self.priors.probabilities)[:, None] * self.distributions
+
+
+def _real(values, name: str) -> np.ndarray:
+    """`values` as an array, or `ValueError` if it is complex: a float cast
+    would drop the imaginary parts with no more than a `ComplexWarning`."""
+    array = np.asarray(values)
+    if array.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    return array
 
 
 def _check_rows(mu: np.ndarray, num_priors: int) -> None:
@@ -161,8 +170,8 @@ def check_models(distributions: np.ndarray, priors: np.ndarray) -> ModelChecks:
     `check_three_state_bound`).  The one-model checks run the same
     arithmetic with N = 1, so every value equals theirs bit for bit.
     """
-    mu = np.asarray(distributions, dtype=float)
-    p = np.asarray(priors, dtype=float)
+    mu = np.asarray(_real(distributions, "distributions"), dtype=float)
+    p = np.asarray(_real(priors, "priors"), dtype=float)
     if mu.ndim != 3 or p.ndim != 2 or mu.shape[0] != p.shape[0] or mu.shape[2] < 1:
         raise ValueError(
             f"need distributions (N, k, L) and priors (N, k), got shapes {mu.shape} and {p.shape}"

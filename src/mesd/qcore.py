@@ -223,7 +223,12 @@ class PriorDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probabilities)
+        try:
+            probs = tuple(float(p) for p in self.probabilities)
+        except TypeError:  # a complex, a sequence, or no sequence at all
+            raise ValueError(
+                f"priors must be a sequence of real numbers, got {self.probabilities!r}"
+            ) from None
         check_priors(np.array([probs]))
         object.__setattr__(self, "probabilities", probs)
 

@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 from mesd import analytic, cli, ontic, oracle
 from mesd.analytic import MirrorEnsemble
 from mesd.cli import _fmt, _fmt_num, _json_numbers, _json_obj, main
-from mesd.qcore import validate_povm
+from mesd.qcore import PriorDistribution, validate_povm
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
 ANGLE_FLAGS = [("three", "--theta"), ("oracle-three", "--theta"), ("oracle-two", "--sep")]
@@ -639,6 +639,93 @@ class TestCmdOnticCheck:
         assert code == 4
         assert "three-state bound: 3/3 pass" in out
         assert "decomposition identity: 0/3 pass" in out
+
+    @staticmethod
+    def reference_models(num_models: int, seed: int) -> list[tuple]:
+        """Each model's normalized (distributions, priors) for k = 2 and k = 3,
+        drawn one model at a time: its size L, then 5L + 5 doubles split into
+        the rows and priors of both models."""
+        rng = np.random.default_rng(seed)
+        models = []
+        for _ in range(num_models):
+            size = int(rng.integers(2, 33))
+            mu2, p2, mu3, p3 = np.split(rng.random(5 * size + 5),
+                                        [2 * size, 2 * size + 2, 5 * size + 2])
+            models.append((ontic._normalized(mu2.reshape(1, 2, size), p2[None]),
+                           ontic._normalized(mu3.reshape(1, 3, size), p3[None])))
+        return models
+
+    @staticmethod
+    def record_checks(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Copies of the arguments of every `ontic.check_models` call."""
+        real, calls = ontic.check_models, []
+
+        def recording(distributions, priors):
+            calls.append((distributions.copy(), priors.copy()))
+            return real(distributions, priors)
+
+        monkeypatch.setattr(ontic, "check_models", recording)
+        return calls
+
+    @staticmethod
+    def model_keys(pairs) -> list[tuple]:
+        """One sortable key per model of each (distributions, priors) pair."""
+        return sorted((mu.shape, mu.tobytes(), p.tobytes())
+                      for distributions, priors in pairs
+                      for mu, p in zip(distributions, priors))
+
+    @pytest.mark.parametrize("num_models", [1, 3, 31 * cli._ONTIC_GROUP + 7])
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_checks_every_drawn_model_bit_for_bit(self, capsys, monkeypatch, num_models, seed):
+        calls = self.record_checks(monkeypatch)
+        code, out = run(capsys, "ontic-check", "--num-models", str(num_models),
+                        "--seed", str(seed))
+        assert code == 0
+        models = self.reference_models(num_models, seed)
+        assert self.model_keys(calls) == self.model_keys(pair for m in models for pair in m)
+        if num_models == 1:
+            (mu2, p2), (mu3, p3) = models[0]
+            r2 = ontic.check_two_state_bound(
+                ontic.FiniteOnticModel(mu2[0], PriorDistribution(tuple(p2[0]))))
+            r3 = ontic.check_three_state_bound(
+                ontic.FiniteOnticModel(mu3[0], PriorDistribution(tuple(p3[0]))))
+            assert out.splitlines()[:2] == [
+                f"two-state: success={_fmt(r2.success)} overlap={_fmt(r2.overlap)} "
+                f"bound={_fmt(r2.bound)} passed={r2.passed}",
+                f"three-state: success={_fmt(r3.success)} bound={_fmt(r3.bound)} "
+                f"passed={r3.passed} decomposition_error={_fmt(r3.decomposition_error)}"]
+
+    def test_no_check_exceeds_one_group(self, capsys, monkeypatch):
+        calls = self.record_checks(monkeypatch)
+        code, _ = run(capsys, "ontic-check", "--num-models", "5000", "--seed", "3")
+        assert code == 0
+        assert max(len(distributions) for distributions, _ in calls) == cli._ONTIC_GROUP
+        # every size's group fills at least once at this count and seed
+        assert {distributions.shape[2] for distributions, _ in calls
+                if len(distributions) == cli._ONTIC_GROUP} == set(range(2, 33))
+        assert sum(len(distributions) for distributions, _ in calls) == 2 * 5000
+
+    @staticmethod
+    def traced_peak(num_models: int) -> int:
+        """Peak bytes traced by `tracemalloc` over one ontic-check run."""
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["ontic-check", "--num-models", str(num_models), "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    def test_memory_does_not_grow_with_the_model_count(self):
+        # A run holds one group of drawn rows per ontic-space size, 1.8 MB
+        # over the 31 sizes; models kept until the end would add about
+        # 0.7 KB each.
+        self.traced_peak(3)  # first-run allocations stay out of the peaks
+        peak = self.traced_peak(4000)
+        assert peak < 3e6
+        assert abs(self.traced_peak(40000) - peak) <= 256 * 1024
 
 
 class TestEntryPoints:

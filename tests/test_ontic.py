@@ -38,6 +38,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="2-D"):
             FiniteOnticModel(np.array([0.5, 0.5]), PriorDistribution((1.0,)))
 
+    def test_rejects_complex_distributions(self):
+        # a float cast would drop the imaginary parts with only a ComplexWarning
+        with pytest.raises(ValueError, match="distributions must be real"):
+            FiniteOnticModel(np.array([[1 + 1j, 0], [0, 1]]), PriorDistribution((0.5, 0.5)))
+        with pytest.raises(ValueError, match="distributions must be real"):
+            FiniteOnticModel([[1.0, 0j], [0.0, 1.0]], PriorDistribution((0.5, 0.5)))
+
     def test_shape_properties(self):
         m = model([[0.25, 0.75], [0.5, 0.5]], [0.4, 0.6])
         assert m.num_preparations == 2
@@ -323,6 +330,20 @@ class TestCheckModels:
     def test_preparation_count_outside_two_or_three(self, k):
         with pytest.raises(ValueError, match=f"need 2 or 3 preparations, got {k}"):
             check_models(np.full((2, k, 3), 1.0 / 3.0), np.full((2, k), 1.0 / k))
+
+    @pytest.mark.parametrize(
+        "distributions, priors, name",
+        [
+            (np.ones((1, 2, 1)) * (1 + 1j), np.array([[0.5, 0.5]]), "distributions"),
+            (np.ones((1, 2, 1)), np.array([[0.5, 0.5]], dtype=complex), "priors"),
+            (np.full((1, 2, 2), 0.5, dtype=np.complex64), [[0.5, 0.5]], "distributions"),
+        ],
+        ids=["distributions", "zero-imaginary-priors", "complex64"],
+    )
+    def test_rejects_complex_input(self, distributions, priors, name):
+        # a float cast would drop the imaginary parts with only a ComplexWarning
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            check_models(distributions, priors)
 
     @pytest.mark.parametrize(
         "shapes", [((2, 3), (1, 2)), ((1, 2, 3), (2, 2)), ((1, 2, 0), (1, 2))],

@@ -195,6 +195,14 @@ class TestPriorDistribution:
         for p in (0.0, 0.1, 1 / 3, 0.4641, 0.5):
             PriorDistribution((p, p, 1.0 - 2.0 * p))
 
+    @pytest.mark.parametrize("probabilities", [((0.5,), 0.5), (0.5 + 0j, 0.5), (0.5, 0.5j), 0.5],
+                             ids=["sequence-entry", "complex-entry", "imaginary-entry",
+                                  "no-sequence"])
+    def test_non_real_entries_raise_value_error(self, probabilities):
+        # float() of such an entry raises TypeError, which must not escape
+        with pytest.raises(ValueError, match="priors must be a sequence of real numbers"):
+            PriorDistribution(probabilities)
+
 
 def test_pure_state_direct_construction_keeps_angle():
     wrapped = PureState(2 * math.pi + 0.25)
