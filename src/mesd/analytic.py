@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import PriorDistribution, PureState, make_state
+from .qcore import PriorDistribution, PureState, make_state, real_array, within
 
 HALF_PI = math.pi / 2.0
 
@@ -37,9 +37,9 @@ class TwoStateScenario:
     confusability_c: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.prior_p <= 1.0:
+        if not within(self.prior_p, 0.0, 1.0):
             raise ValueError(f"prior_p must lie in [0, 1], got {self.prior_p!r}")
-        if not 0.0 <= self.confusability_c <= 1.0:
+        if not within(self.confusability_c, 0.0, 1.0):
             raise ValueError(
                 f"confusability_c must lie in [0, 1], got {self.confusability_c!r}"
             )
@@ -58,9 +58,9 @@ class MirrorEnsemble:
     prior_p: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= HALF_PI:
+        if not within(self.theta, 0.0, HALF_PI):
             raise ValueError(f"theta must lie in [0, pi/2], got {self.theta!r}")
-        if not 0.0 <= self.prior_p <= 0.5:
+        if not within(self.prior_p, 0.0, 0.5):
             raise ValueError(f"prior_p must lie in [0, 1/2], got {self.prior_p!r}")
 
     def states(self) -> tuple[PureState, PureState, PureState]:
@@ -125,7 +125,7 @@ def nc_two_bound(scenario: TwoStateScenario) -> float:
 def threshold_prior(theta: float) -> float:
     """Prior p*(theta) = 1 / (2 + cos(theta)(cos(theta) + sin(theta)))
     separating the two branches of the optimal three-state strategy."""
-    if not 0.0 <= theta <= HALF_PI:
+    if not within(theta, 0.0, HALF_PI):
         raise ValueError(f"theta must lie in [0, pi/2], got {theta!r}")
     c = math.cos(theta)
     return 1.0 / (2.0 + c * (c + math.sin(theta)))
@@ -193,7 +193,7 @@ def advantage_three_row(theta: float,
     are the scalar functions' `math` expressions and the per-prior arithmetic,
     branches and clamp run in their order, so every element is bit-identical."""
     p_star = threshold_prior(theta)
-    p = np.asarray(priors, dtype=float)
+    p = np.asarray(real_array(priors, "prior_p"), dtype=float)
     outside = ~((0.0 <= p) & (p <= 0.5))
     if outside.any():
         raise ValueError(f"prior_p must lie in [0, 1/2], got {p[outside][0].item()!r}")

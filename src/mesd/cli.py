@@ -25,14 +25,15 @@ rendered with one `%` of a slice-wide template built once per map: the cell
 template (a CSV line, or a JSON object laid out as `json.dumps(..., indent=2)`
 would place it) joined once per cell.  The prior column, rendered once per
 map, is all its memory holds per prior, about 80 bytes, so `--prior-steps` is
-at most 2**20.  `ontic-check` draws each model into the next row of its
-ontic-space size's group of `_ONTIC_GROUP` rows, and checks a group, with one
-`ontic.check_models` call per number of preparations, when it is full and at
-the end; its memory does not depend on `--num-models`.  Angles take radians
-(`--theta`, `--sep`) or degrees (`--theta-deg`, `--sep-deg`); `ontic-check
---seed` must be >= 0.  The oracles call `optimize_two` and `optimize_three` at
-their defaults: no flag sets their `grid_n`, `refine_iters` or `seed`, which
-steer nothing.
+at most 2**20.  `ontic-check` tallies the checks that
+`ontic.check_random_models` yields for `--num-models` model pairs drawn from
+`--seed` (>= 0), one group of a single ontic-space size at a time, so its
+memory does not depend on `--num-models`.  Angles take radians (`--theta`,
+`--sep`) or degrees (`--theta-deg`, `--sep-deg`).  The oracles call
+`optimize_two` and `optimize_three` at their defaults: no flag sets their
+`grid_n`, `refine_iters` or `seed`.  Of these, only `optimize_two`'s
+`grid_n` steers anything: it sizes that solver's angle grid, 1024 angles, so
+`oracle-two` reports 1025 evaluations.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ EXIT_IO = 3
 EXIT_TOLERANCE = 4
 _MAP_CHUNK = 256  # cells per piece of the map file; bounds the memory of a piece
 _MAX_PRIOR_STEPS = 2**20  # the prior column map holds: about 80 MB at this bound
-_ONTIC_GROUP = 80  # models per ontic-space size checked at once; 80 x 22.3 KB over L = 2..32
 _MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
 
 
@@ -286,44 +286,12 @@ def _run_oracle(expected: float, result: oracle.OracleResult, args) -> None:
                        f"|oracle - analytic| = {difference!r} exceeds --tol {args.tol!r}")
 
 
-def _drawn_groups(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Draw `n` models and yield them as `(rows, L)` groups of one ontic-space
-    size L, each row one model's 5L + 5 raw draws.  A group is yielded when
-    its `_ONTIC_GROUP` rows are full, and its buffer is then reused; the
-    partly filled groups follow, in order of L."""
-    groups: list[np.ndarray | None] = [None] * 33
-    filled = [0] * 33
-    for _ in range(n):
-        # Each model draws its size L, then the raw rows and priors of its
-        # two- and three-preparation models: 2L, 2, 3L and 3 doubles, which
-        # one `rng.random(out=row)` yields in the same order as four calls.
-        size = int(rng.integers(2, 33))
-        rows = groups[size]
-        if rows is None:
-            rows = groups[size] = np.empty((_ONTIC_GROUP, 5 * size + 5))
-        i = filled[size]
-        rng.random(out=rows[i])
-        if i + 1 < _ONTIC_GROUP:
-            filled[size] = i + 1
-        else:
-            filled[size] = 0
-            yield rows, size
-    for size, count in enumerate(filled):
-        if count:
-            yield groups[size][:count], size
-
-
 def cmd_ontic_check(args: argparse.Namespace) -> None:
-    if args.num_models < 1:
-        raise ValueError(f"--num-models must be >= 1, got {args.num_models}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     n = args.num_models
     two_pass = three_pass = identity_pass = 0
-    for rows, size in _drawn_groups(np.random.default_rng(args.seed), n):
-        mu2, p2, mu3, p3 = np.split(rows, [2 * size, 2 * size + 2, 5 * size + 2], axis=1)
-        two = ontic.check_models(*ontic._normalized(mu2.reshape(-1, 2, size), p2))
-        three = ontic.check_models(*ontic._normalized(mu3.reshape(-1, 3, size), p3))
+    for two, three in ontic.check_random_models(np.random.default_rng(args.seed), n):
         two_pass += int(two.passed.sum())
         three_pass += int(three.passed.sum())
         identity_pass += int(three.decomposition_passed.sum())

@@ -12,7 +12,9 @@ noncontextual bounds can be checked exactly on arbitrary models:
 `check_models` runs these checks over stacked arrays of N models with the
 same number of preparations and ontic points, one numpy reduction per
 quantity; `check_two_state_bound` and `check_three_state_bound` are its
-one-model case.
+one-model case.  `check_random_models` is the stream behind `mesd
+ontic-check`: it draws `random_model`'s models straight into per-size
+group buffers and checks each group with `check_models`.
 
 No attempt is made to build a model reproducing full qubit statistics; the
 point is to verify the bound derivation on finite models where it is exact.
@@ -22,13 +24,15 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .qcore import PriorDistribution, check_priors
+from .qcore import PriorDistribution, check_priors, real_array
 
 ROW_SUM_TOL = 1e-12
 BOUND_TOL = 1e-12
+_GROUP = 80  # models per ontic-space size checked at once; 80 x 22.3 KB over L = 2..32
 
 
 @dataclass(frozen=True, eq=False)  # compares by value, so unhashable
@@ -42,7 +46,7 @@ class FiniteOnticModel:
     priors: PriorDistribution
 
     def __post_init__(self) -> None:
-        mu = np.array(_real(self.distributions, "distributions"), dtype=float)
+        mu = np.array(real_array(self.distributions, "distributions"), dtype=float)
         if mu.ndim != 2 or mu.shape[0] < 1 or mu.shape[1] < 1:
             raise ValueError(f"distributions must be a 2-D matrix, got shape {mu.shape}")
         _check_rows(mu, len(self.priors))
@@ -63,15 +67,6 @@ class FiniteOnticModel:
     def weighted_joints(self) -> np.ndarray:
         """Rows p_i * mu_i(.): the joint mass of (preparation, ontic state)."""
         return np.asarray(self.priors.probabilities)[:, None] * self.distributions
-
-
-def _real(values, name: str) -> np.ndarray:
-    """`values` as an array, or `ValueError` if it is complex: a float cast
-    would drop the imaginary parts with no more than a `ComplexWarning`."""
-    array = np.asarray(values)
-    if array.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
-    return array
 
 
 def _check_rows(mu: np.ndarray, num_priors: int) -> None:
@@ -170,8 +165,8 @@ def check_models(distributions: np.ndarray, priors: np.ndarray) -> ModelChecks:
     `check_three_state_bound`).  The one-model checks run the same
     arithmetic with N = 1, so every value equals theirs bit for bit.
     """
-    mu = np.asarray(_real(distributions, "distributions"), dtype=float)
-    p = np.asarray(_real(priors, "priors"), dtype=float)
+    mu = np.asarray(real_array(distributions, "distributions"), dtype=float)
+    p = np.asarray(real_array(priors, "priors"), dtype=float)
     if mu.ndim != 3 or p.ndim != 2 or mu.shape[0] != p.shape[0] or mu.shape[2] < 1:
         raise ValueError(
             f"need distributions (N, k, L) and priors (N, k), got shapes {mu.shape} and {p.shape}"
@@ -269,3 +264,50 @@ def random_model(
     mu_draws = rng.random((num_preparations, num_lambdas))
     mu, priors = _normalized(mu_draws, rng.random(num_preparations))
     return FiniteOnticModel(distributions=mu, priors=PriorDistribution(tuple(priors)))
+
+
+def check_random_models(
+    rng: np.random.Generator, n: int
+) -> Iterator[tuple[ModelChecks, ModelChecks]]:
+    """Draw `n` pairs of random models and check them in groups: yields
+    `(check_models(two), check_models(three))` per group of pairs that share
+    an ontic-space size L.
+
+    Each pair draws L = `rng.integers(2, 33)`, then the doubles of
+    `random_model(2, L, rng)` and of `random_model(3, L, rng)` (2L, 2, 3L
+    and 3), which one `rng.random(out=row)` yields in the same order as
+    their four calls, into the next row of L's reusable `(_GROUP, 5L + 5)`
+    buffer.  So every model checked is `random_model`'s, bit for bit.  A
+    full buffer is checked and reused; the partly filled ones follow, in
+    order of L, so memory does not depend on `n`.  `n` is an integer >= 1,
+    numpy's included; a bool or a float is rejected on the call."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"model count must be an integer >= 1, got {n!r}")
+    return _checked_groups(rng, n)
+
+
+def _checked_groups(
+    rng: np.random.Generator, n: int
+) -> Iterator[tuple[ModelChecks, ModelChecks]]:
+    """`check_random_models` after its check of `n`."""
+    groups: list[np.ndarray | None] = [None] * 33
+    filled = [0] * 33
+    for _ in range(n):
+        size = int(rng.integers(2, 33))
+        rows = groups[size]
+        if rows is None:
+            rows = groups[size] = np.empty((_GROUP, 5 * size + 5))
+        rng.random(out=rows[filled[size]])
+        filled[size] = (filled[size] + 1) % _GROUP
+        if not filled[size]:
+            yield _checked(rows, size)
+    for size, count in enumerate(filled):
+        if count:
+            yield _checked(groups[size][:count], size)
+
+
+def _checked(rows: np.ndarray, size: int) -> tuple[ModelChecks, ModelChecks]:
+    """`check_models` of the two- and three-preparation models in `rows`."""
+    mu2, p2, mu3, p3 = np.split(rows, [2 * size, 2 * size + 2, 5 * size + 2], axis=1)
+    return (check_models(*_normalized(mu2.reshape(-1, 2, size), p2)),
+            check_models(*_normalized(mu3.reshape(-1, 3, size), p3)))

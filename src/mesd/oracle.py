@@ -17,10 +17,12 @@ effects and orders the interval, so it is ordered by construction.
 
 The private functions share one format: states (p, x, y), prior p and real
 ket (x, y), in; effects as rows ((e_xx, e_xy), (e_xy, e_yy)) out.
-optimize_two scores its effects with `_certificate`, the dual in numpy for
-any complete POVM.  optimize_three takes both ends from `_active_set`, which
-scores the same dual per candidate in scalar floats, without numpy, and
-keeps a triple only if its effects sum to I within `COMPLETENESS_TOL`.
+optimize_two builds one states list, which also gives its grid the states'
+angles, and its two effects as rows, and scores them with `_certificate`,
+the dual in numpy for any complete POVM.  optimize_three takes both ends
+from `_active_set`, which scores the same dual per candidate in scalar
+floats, without numpy, and keeps a triple only if its effects sum to I
+within `COMPLETENESS_TOL`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .qcore import (
     PriorDistribution,
     PureState,
     born_probability,
-    make_state,
     validate_povm,
 )
 
@@ -111,7 +112,8 @@ def optimize_two(
     if not refine_iters >= 0:
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     q1, q2 = PriorDistribution((1.0 - p, p)).probabilities
-    t1, t2 = (math.atan2(y, x) for x, y in (s1.amplitudes, s2.amplitudes))
+    states = [(q1, *s1.amplitudes), (q2, *s2.amplitudes)]
+    t1, t2 = (math.atan2(y, x) for _, x, y in states)
     alphas = np.linspace(0.0, math.pi, grid_n, endpoint=False)
     values = p * np.sin(t2 - alphas) ** 2 + (1.0 - p) * np.cos(t1 - alphas) ** 2
     best = int(np.argmax(values))
@@ -121,15 +123,18 @@ def optimize_two(
     h = TWO_PI / grid_n
     c = (mid - 0.5 * (lo + hi)) / (1.0 - math.cos(h))
     s = (hi - lo) / (2.0 * math.sin(h))
-    ket = make_state(float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c)))).ket
-    projector = np.outer(ket, ket)
-    effects = np.array([projector, np.eye(2) - projector])
-    states = [(q1, *s1.amplitudes), (q2, *s2.amplitudes)]
+    peak = float(alphas[best]) + 0.5 * min(h, max(-h, math.atan2(s, c)))
+    x, y = math.cos(peak), math.sin(peak)
+    # the projector on (x, y) and I minus it, in the float operations of
+    # np.outer and np.eye(2) - projector: 0.0 - x*y, not -(x*y), which would
+    # flip the sign of a zero
+    effects = [((x * x, x * y), (y * x, y * y)),
+               ((1.0 - x * x, 0.0 - x * y), (0.0 - y * x, 1.0 - y * y))]
     return _verdict(effects, grid_n + 1, *_certificate(states, effects))
 
 
 def _verdict(effects: Sequence, evaluations: int, value: float, bound: float) -> OracleResult:
-    """The validated `effects` (2x2 rows or arrays), whose Tr Gamma is `value`,
+    """The validated `effects` (2x2 rows), whose Tr Gamma is `value`,
     with the interval success = min(1, value), dual_bound = max(success, bound),
     `bound` being the solver's upper bound on every measurement's success: so
     success <= dual_bound, with no tolerance.  It computes nothing else."""
@@ -139,12 +144,13 @@ def _verdict(effects: Sequence, evaluations: int, value: float, bound: float) ->
 
 
 def _certificate(states: Sequence[_State], effects: Sequence) -> tuple[float, float]:
-    """(Tr Gamma, Tr Gamma + 2t) for the complete POVM `effects` (rows or
-    arrays) on `states`: its success and an upper bound on every
-    measurement's success.  With Gamma = Herm(sum_i p_i rho_i E_i) and
+    """(Tr Gamma, Tr Gamma + 2t) for the complete POVM `effects` (rows) on
+    `states`: its success and an upper bound on every measurement's
+    success.  With Gamma = Herm(sum_i p_i rho_i E_i) and
     t = max_i lambda_max(p_i rho_i - Gamma)^+, Gamma + t I dominates every
     p_i rho_i, so it is feasible for the Holevo / Yuen-Kennedy-Lax dual,
-    whose value is its trace.  The arrays are built here from `states`."""
+    whose value is its trace.  Its arrays are built here, from `states` and
+    the rows."""
     table = np.array(states)
     weighted = table[:, 0, None, None] * np.einsum("ia,ib->iab", table[:, 1:], table[:, 1:])
     total = np.einsum("iab,ibc->ac", weighted, effects)

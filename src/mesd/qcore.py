@@ -19,6 +19,11 @@ All of it runs in Python floats on each matrix's four entries, read once.
 Hermiticity compares real and imaginary parts, and a POVM is validated in
 one pass over its members that sums them in member order, the order of
 numpy's axis-0 sum, and runs each member's EFFECT_MAX test on the way.
+
+Input that is not a real number, such as a complex (numpy orders one, and
+casts it to float, by its real part), is a ValueError naming its field:
+`within`, `real_float` and `real_array` are the checks this module,
+`analytic` and `ontic` share.
 """
 
 from __future__ import annotations
@@ -37,6 +42,43 @@ COMPLETENESS_TOL = 1e-9
 # The largest eigenvalue of a POVM member, and Born weight: a sum that misses
 # I by COMPLETENESS_TOL entrywise misses it by twice that in operator norm.
 EFFECT_MAX = 1.0 + 2.0 * COMPLETENESS_TOL + PSD_TOL
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
+# numpy orders a complex number, and casts it to float, by its real part
+# alone, with at most a ComplexWarning.  Its complex128 is a Python complex,
+# its complex64 is not.
+_COMPLEX = (complex, np.complexfloating)
+
+
+def within(value, low: float, high: float) -> bool:
+    """low <= value <= high for a real `value`, and False for a complex one
+    or one that floats do not order (a str, None): a field's range check
+    that also rejects every value that is not a real number."""
+    try:
+        return not isinstance(value, _COMPLEX) and low <= value <= high
+    except TypeError:
+        return False
+
+
+def real_float(value) -> float:
+    """float(value), but a complex `value`, numpy's included, raises the
+    TypeError that float() raises for a Python complex."""
+    if isinstance(value, _COMPLEX):
+        raise TypeError(f"a real number is required, not {type(value).__name__}")
+    return float(value)
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """`values` as an array, or `ValueError` naming `name` if it holds a
+    complex, which a float cast would drop to its real part (or, inside an
+    object array, end in float()'s TypeError)."""
+    array = np.asarray(values)
+    if array.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    if array.dtype.kind == "O":
+        for v in array.flat:
+            if isinstance(v, _COMPLEX):
+                raise ValueError(f"{name} must be real, got {v!r}")
+    return array
 
 
 def identity_matrix() -> np.ndarray:
@@ -57,7 +99,7 @@ class PureState:
     angle: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
+        if not within(self.angle, -_FLOAT_MAX, _FLOAT_MAX):
             raise ValueError(f"state angle must be finite, got {self.angle!r}")
 
     @property
@@ -75,8 +117,13 @@ class PureState:
 
 
 def make_state(angle: float) -> PureState:
-    """Build the pure state at `angle` radians from |0> on the great circle."""
-    return PureState(float(angle))
+    """Build the pure state at `angle` radians from |0> on the great circle.
+    A complex angle, numpy's included, is a ValueError, not its real part."""
+    try:
+        angle = real_float(angle)
+    except TypeError:
+        raise ValueError(f"state angle must be a real number, got {angle!r}") from None
+    return PureState(angle)
 
 
 def confusability(a: PureState, b: PureState) -> float:
@@ -224,7 +271,7 @@ class PriorDistribution:
 
     def __post_init__(self) -> None:
         try:
-            probs = tuple(float(p) for p in self.probabilities)
+            probs = tuple([real_float(p) for p in self.probabilities])
         except TypeError:  # a complex, a sequence, or no sequence at all
             raise ValueError(
                 f"priors must be a sequence of real numbers, got {self.probabilities!r}"

@@ -342,6 +342,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             MirrorEnsemble(0.5, 0.6)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: MirrorEnsemble(1j, 0.3), "theta"),
+        (lambda: MirrorEnsemble("0.5", 0.3), "theta"),
+        (lambda: MirrorEnsemble(np.complex128(0.5), 0.3), "theta"),
+        (lambda: MirrorEnsemble(0.5, np.complex64(0.25)), "prior_p"),
+        (lambda: MirrorEnsemble(0.5, None), "prior_p"),
+        (lambda: TwoStateScenario(1j, 0.5), "prior_p"),
+        (lambda: TwoStateScenario(0.5, np.complex128(0.5)), "confusability_c"),
+        (lambda: threshold_prior(1j), "theta"),
+        (lambda: threshold_prior(np.complex128(0.5)), "theta"),
+    ], ids=["theta-1j", "theta-str", "theta-numpy-complex", "prior-complex64", "prior-none",
+            "scenario-prior-1j", "scenario-c-numpy-complex", "threshold-1j",
+            "threshold-numpy-complex"])
+    def test_non_real_fields_raise_value_error(self, build, field):
+        # comparisons raised TypeError, or numpy ordered a complex by its real part
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            build()
+
+    @pytest.mark.parametrize("priors", [np.array([0.1 + 1j]), [0.2, 0.1j],
+                                        np.array([0.1], dtype=np.complex64),
+                                        np.array([0.1, 0.2 + 1j], dtype=object)],
+                             ids=["complex128", "list", "complex64", "object"])
+    def test_row_rejects_complex_priors(self, priors):
+        # a float cast would keep the real parts with only a ComplexWarning
+        with pytest.raises(ValueError, match="prior_p must be real"):
+            advantage_three_row(0.5, priors)
+
+    @pytest.mark.parametrize("theta, prior", [(True, 0.25), (np.float32(0.5), np.int64(0)),
+                                              (np.array(0.5), 0.25), (0, 0.5)], ids=repr)
+    def test_real_numbers_of_any_type_are_accepted(self, theta, prior):
+        ensemble = MirrorEnsemble(theta, prior)
+        assert (ensemble.theta, ensemble.prior_p) == (theta, prior)
+
     @pytest.mark.parametrize("theta", [1e-9, 0.3, 1.2, math.pi / 2])
     def test_mirror_states_are_exact_mirrors(self, theta):
         c, s = math.cos(theta), math.sin(theta)

@@ -674,7 +674,7 @@ class TestCmdOnticCheck:
                       for distributions, priors in pairs
                       for mu, p in zip(distributions, priors))
 
-    @pytest.mark.parametrize("num_models", [1, 3, 31 * cli._ONTIC_GROUP + 7])
+    @pytest.mark.parametrize("num_models", [1, 3, 31 * ontic._GROUP + 7])
     @pytest.mark.parametrize("seed", [1, 7])
     def test_checks_every_drawn_model_bit_for_bit(self, capsys, monkeypatch, num_models, seed):
         calls = self.record_checks(monkeypatch)
@@ -699,10 +699,10 @@ class TestCmdOnticCheck:
         calls = self.record_checks(monkeypatch)
         code, _ = run(capsys, "ontic-check", "--num-models", "5000", "--seed", "3")
         assert code == 0
-        assert max(len(distributions) for distributions, _ in calls) == cli._ONTIC_GROUP
+        assert max(len(distributions) for distributions, _ in calls) == ontic._GROUP
         # every size's group fills at least once at this count and seed
         assert {distributions.shape[2] for distributions, _ in calls
-                if len(distributions) == cli._ONTIC_GROUP} == set(range(2, 33))
+                if len(distributions) == ontic._GROUP} == set(range(2, 33))
         assert sum(len(distributions) for distributions, _ in calls) == 2 * 5000
 
     @staticmethod

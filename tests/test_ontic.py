@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from mesd import ontic
 from mesd.cli import main
 from mesd.ontic import (
     FiniteOnticModel,
     check_models,
+    check_random_models,
     check_three_state_bound,
     check_two_state_bound,
     min_overlap,
@@ -231,6 +233,43 @@ class TestRandomModel:
         assert random_model(np.int64(3), np.int32(4), np.random.default_rng(5)) == expected
 
 
+class TestCheckRandomModels:
+    @staticmethod
+    def key(m: FiniteOnticModel) -> tuple:
+        return (m.distributions.shape, m.distributions.tobytes(),
+                np.array(m.priors.probabilities).tobytes())
+
+    @pytest.mark.parametrize("n, seed", [(1, 1), (np.int64(3), 7), (2487, 1)], ids=str)
+    def test_checks_random_models_bit_for_bit(self, monkeypatch, n, seed):
+        # each pair draws L, then random_model(2, L) and random_model(3, L)
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(n):
+            size = int(rng.integers(2, 33))
+            expected += [random_model(2, size, rng), random_model(3, size, rng)]
+        real, checked = ontic.check_models, []
+
+        def recording(distributions, priors):
+            checked.extend(map(model, distributions, priors))
+            return real(distributions, priors)
+
+        monkeypatch.setattr(ontic, "check_models", recording)
+        groups = list(check_random_models(np.random.default_rng(seed), n))
+        assert sorted(map(self.key, checked)) == sorted(map(self.key, expected))
+        for checks in zip(*groups):
+            assert sum(len(c.passed) for c in checks) == n
+            assert all(c.passed.all() for c in checks)
+
+    @pytest.mark.parametrize("n", [0, -1, True, np.bool_(True), 2.0, 2.5, "3", None],
+                             ids=repr)
+    def test_rejects_a_bad_count_on_the_call(self, n):
+        # raised by the call itself, before anything is drawn or iterated
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="model count must be an integer >= 1"):
+            check_random_models(rng, n)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
 def reference_two(m: FiniteOnticModel) -> tuple:
     """The one-model two-state check written out with scalar arithmetic."""
     w = np.asarray(m.priors.probabilities)[:, None] * m.distributions
@@ -344,6 +383,22 @@ class TestCheckModels:
         # a float cast would drop the imaginary parts with only a ComplexWarning
         with pytest.raises(ValueError, match=f"{name} must be real"):
             check_models(distributions, priors)
+
+    @pytest.mark.parametrize(
+        "distributions, priors, name",
+        [
+            (np.array([[[1 + 1j], [1]]], dtype=object), np.array([[0.5, 0.5]]), "distributions"),
+            (np.ones((1, 2, 1)), np.array([[0.5, np.complex128(0.5)]], dtype=object), "priors"),
+        ],
+        ids=["python-complex", "numpy-complex"],
+    )
+    def test_rejects_complex_entries_of_object_arrays(self, distributions, priors, name):
+        # the float cast ended in float()'s TypeError, or kept a numpy complex's real part
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            check_models(distributions, priors)
+        if name == "distributions":
+            with pytest.raises(ValueError, match="distributions must be real"):
+                FiniteOnticModel(distributions[0], PriorDistribution((0.5, 0.5)))
 
     @pytest.mark.parametrize(
         "shapes", [((2, 3), (1, 2)), ((1, 2, 3), (2, 2)), ((1, 2, 0), (1, 2))],

@@ -42,6 +42,20 @@ class TestMakeState:
         with pytest.raises(ValueError):
             make_state(bad)
 
+    @pytest.mark.parametrize("bad", [1j, np.complex128(1 + 1j), np.complex128(0.5),
+                                     np.complex64(0.5)], ids=repr)
+    def test_complex_rejected(self, bad):
+        # float() raises TypeError for 1j, and keeps the real part of numpy's
+        with pytest.raises(ValueError, match="state angle must be a real number"):
+            make_state(bad)
+
+    @pytest.mark.parametrize("bad", [1j, np.complex128(0.5), np.complex64(0.5), "0.5", None,
+                                     10**400],
+                             ids=["1j", "complex128", "complex64", "str", "None", "huge-int"])
+    def test_pure_state_rejects_non_real_angles(self, bad):
+        with pytest.raises(ValueError, match="state angle must be finite"):
+            PureState(bad)
+
     def test_angle_kept_as_given(self):
         for angle in (-math.pi / 2, 17.3, 1e300):
             state = make_state(angle)
@@ -200,6 +214,14 @@ class TestPriorDistribution:
                                   "no-sequence"])
     def test_non_real_entries_raise_value_error(self, probabilities):
         # float() of such an entry raises TypeError, which must not escape
+        with pytest.raises(ValueError, match="priors must be a sequence of real numbers"):
+            PriorDistribution(probabilities)
+
+    @pytest.mark.parametrize("probabilities", [(np.complex128(0.5 + 1j), 0.5),
+                                               (0.5, np.complex64(0.5))],
+                             ids=["complex128", "complex64"])
+    def test_numpy_complex_entries_raise_value_error(self, probabilities):
+        # float() keeps their real parts with only a ComplexWarning
         with pytest.raises(ValueError, match="priors must be a sequence of real numbers"):
             PriorDistribution(probabilities)
 
