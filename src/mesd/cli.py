@@ -23,12 +23,14 @@ Output is deterministic: identical configuration gives byte-identical files.
 `map` computes and writes theta-row slices of at most 256 cells, each
 rendered with one `%` of a slice-wide template built once per map: the cell
 template (a CSV line, or a JSON object laid out as `json.dumps(..., indent=2)`
-would place it) joined once per cell.  The prior column, rendered once per
-map, is all its memory holds per prior, about 80 bytes, so `--prior-steps` is
-at most 2**20.  `ontic-check` tallies the checks that
-`ontic.check_random_models` yields for `--num-models` model pairs drawn from
-`--seed` (>= 0), one group of a single ontic-space size at a time, so its
-memory does not depend on `--num-models`.  Angles take radians (`--theta`,
+would place it) joined once per cell, its three numbers in `%.9g` slots.  A
+JSON slice with a cell whose numbers may read otherwise in JSON (`1.0` for
+`1`) joins its own template, that cell's numbers in text slots.  The prior
+column, rendered once per map, is all its memory holds per prior, about 80
+bytes, so `--prior-steps` is at most 2**20.  `ontic-check` tallies the checks
+that `ontic.check_random_models` yields for `--num-models` model pairs drawn
+from `--seed` (>= 0), one group of a single ontic-space size at a time, so
+its memory does not depend on `--num-models`.  Angles take radians (`--theta`,
 `--sep`) or degrees (`--theta-deg`, `--sep-deg`).  The oracles call
 `optimize_two` and `optimize_three` at their defaults: no flag sets their
 `grid_n`, `refine_iters` or `seed`.  Of these, only `optimize_two`'s
@@ -162,15 +164,16 @@ def cmd_three(args: argparse.Namespace) -> None:
     _write([_render_record(record, args.format)], args.out)
 
 
-def _csv_numbers(column: np.ndarray) -> list[float]:
-    """The floats of `column` for the CSV cell's `%.9g` slots; `+ 0.0` is
-    `_fmt`'s -0.0 canonicalization."""
-    return (column + 0.0).tolist()
+def _csv_texts(column: np.ndarray) -> list[str]:
+    """`_fmt(v)` for each v of `column`."""
+    return list(map(_fmt, column.tolist()))
 
 
 def _json_numbers(column: np.ndarray) -> list[str]:
     """`json.dumps(_fmt_num(v))` for each finite v of `column`: the shortest
-    round-trip of its 9-significant-digit value, so 1 reads `1.0`.
+    round-trip of its 9-significant-digit value, so 1 reads `1.0`.  The map
+    renders its theta and prior texts with it, and the numbers of the cells
+    that `_json_special` marks.
 
     That is the `%.9g` text, with `.0` appended if it has neither `.` nor
     `e`: any decimal of at most 15 digits round-trips, so no shorter one
@@ -189,15 +192,32 @@ def _json_text(text: str) -> str:
     return repr(float(text)) if 9 <= exponent <= 15 or exponent <= -308 else text
 
 
-# Per map format: the number slot, the cell template (theta, prior and the
-# flag take text), the renderer of a number column, and the separator between
-# cells.  JSON cells are objects at depth 2 of the payload, as
-# `json.dumps(..., indent=2)` lays them out.
-_MAP_CELLS = {
-    "csv": ("%.9g", "%s,%s,%.9g,%.9g,%.9g,%s\n", _csv_numbers, ""),
-    "json": ("%s", "\n    {" + ",".join(f"\n      {json.dumps(k)}: %s" for k in _MAP_FIELDS)
-             + "\n    }", _json_numbers, ","),
-}
+def _json_special(column: np.ndarray) -> np.ndarray:
+    """Marks each v of `column` whose `_json_numbers` text may differ from
+    `"%.9g" % (v + 0.0)`: |v - rint(v)| <= 1e-8 * max(1, |v|), which holds
+    for every v that `%.9g` rounds to an integer (0 included) and for every
+    |v| <= 1e-8 (so every exponent of -308 and below), or |v| >= 1e8 (so
+    every exponent of 9 to 15), or v not finite.  |v| is capped at 1e8
+    before `rint`, which marks the last two without an inf - inf."""
+    capped = np.minimum(np.abs(column), 1e8)
+    return ~(np.abs(capped - np.rint(capped)) > 1e-8 * np.maximum(capped, 1.0))
+
+
+def _map_cell(fmt: str, slots: Sequence[str]) -> str:
+    """The map's cell template in `fmt` with one slot per field of `_MAP_FIELDS`.
+    JSON cells are objects at depth 2 of the payload, as
+    `json.dumps(..., indent=2)` lays them out."""
+    if fmt == "csv":
+        return ",".join(slots) + "\n"
+    return "\n    {" + ",".join(f"\n      {json.dumps(k)}: {slot}"
+                             for k, slot in zip(_MAP_FIELDS, slots)) + "\n    }"
+
+
+# Per map format: the renderer of the theta and prior texts, the separator
+# between cells, and the predicate that marks a number for a text slot.  Both
+# formats' cells format their three numbers in `%.9g` slots; a JSON cell with
+# a marked number takes all three as `_json_numbers` texts in `%s` slots.
+_MAP_FORMATS = {"csv": (_csv_texts, "", None), "json": (_json_numbers, ",", _json_special)}
 
 
 def _map_frame(theta_steps: int, prior_steps: int, fmt: str) -> tuple[str, str]:
@@ -219,30 +239,42 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     """The map file in pieces of at most `_MAP_CHUNK` cells, theta-major,
     between the text of `_map_frame`.  Each piece is one slice of a theta-row,
     computed by `analytic.advantage_three_row` and rendered with one `%` of
-    its length's template from a flat tuple, cell by cell.  The templates
-    and the prior texts are made once per map.  Row i's angle is capped at
-    `HALF_PI`, which `HALF_PI * i / (theta_steps - 1)` overshoots by one ulp
-    in the last row at some counts (14, 27, 48, ...)."""
+    its length's template from a flat tuple, cell by cell, its three number
+    columns as floats.  The templates and the prior texts are made once per
+    map.  A JSON slice with cells that `_json_special` marks instead joins
+    its template per cell, a marked cell's numbers in text slots.  Row i's
+    angle is capped at `HALF_PI`, which `HALF_PI * i / (theta_steps - 1)`
+    overshoots by one ulp in the last row at some counts (14, 27, 48, ...)."""
     head, tail = _map_frame(theta_steps, prior_steps, fmt)
-    number, cell, numbers, separator = _MAP_CELLS[fmt]
+    texts, separator, special = _MAP_FORMATS[fmt]
+    cell = _map_cell(fmt, ("%s", "%s", "%.9g", "%.9g", "%.9g", "%s"))
+    text_cell = _map_cell(fmt, ["%s"] * 6)
     priors = [0.5 * np.arange(start, min(start + _MAP_CHUNK, prior_steps)) / (prior_steps - 1)
               for start in range(0, prior_steps, _MAP_CHUNK)]
-    slices = [(prior, [number % v for v in numbers(prior)]) for prior in priors]
+    slices = [(prior, texts(prior)) for prior in priors]
     templates = {len(prior): separator.join([cell] * len(prior)) for prior in priors}
     yield head
     lead = ""
     for i in range(theta_steps):
         theta = min(analytic.HALF_PI, analytic.HALF_PI * i / (theta_steps - 1))
-        theta_text = number % numbers(np.array([theta]))[0]
-        for prior, prior_numbers in slices:
-            quantum, nc, gap = analytic.advantage_three_row(theta, prior)
+        theta_text = texts(np.array([theta]))[0]
+        for prior, prior_texts in slices:
+            quantum, nc, gap = columns = analytic.advantage_three_row(theta, prior)
             flat = [theta_text] * (6 * len(prior))
-            flat[1::6] = prior_numbers
-            flat[2::6] = numbers(quantum)
-            flat[3::6] = numbers(nc)
-            flat[4::6] = numbers(gap)
+            flat[1::6] = prior_texts
+            flat[2::6] = (quantum + 0.0).tolist()
+            flat[3::6] = (nc + 0.0).tolist()
+            flat[4::6] = (gap + 0.0).tolist()
             flat[5::6] = [("false", "true")[a] for a in (gap > analytic.ADVANTAGE_TOL).tolist()]
-            yield lead + templates[len(prior)] % tuple(flat)
+            template = templates[len(prior)]
+            if special is not None:
+                marked = special(quantum) | special(nc) | special(gap)
+                if marked.any():
+                    template = separator.join([(cell, text_cell)[m] for m in marked.tolist()])
+                    at = np.flatnonzero(marked)
+                    for k, *numbers in zip(at.tolist(), *(texts(c[at]) for c in columns)):
+                        flat[6 * k + 2:6 * k + 5] = numbers
+            yield lead + template % tuple(flat)
             lead = separator
     yield tail
 

@@ -47,22 +47,26 @@ _FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
 # alone, with at most a ComplexWarning.  Its complex128 is a Python complex,
 # its complex64 is not.
 _COMPLEX = (complex, np.complexfloating)
+# float() also parses text: a numeric str, bytes or bytearray.
+_NOT_REAL = (*_COMPLEX, str, bytes, bytearray)
 
 
 def within(value, low: float, high: float) -> bool:
-    """low <= value <= high for a real `value`, and False for a complex one
-    or one that floats do not order (a str, None): a field's range check
-    that also rejects every value that is not a real number."""
+    """low <= value <= high for a real `value`, and False for a complex one,
+    one that floats do not order (a str, None) or an array of more than one
+    element: a field's range check that also rejects every value that is not
+    a real number."""
     try:
         return not isinstance(value, _COMPLEX) and low <= value <= high
-    except TypeError:
+    except (TypeError, ValueError):  # ValueError: an array's ambiguous truth value
         return False
 
 
 def real_float(value) -> float:
-    """float(value), but a complex `value`, numpy's included, raises the
-    TypeError that float() raises for a Python complex."""
-    if isinstance(value, _COMPLEX):
+    """float(value), but a complex `value`, numpy's included, or a text one
+    (str, bytes, bytearray) raises the TypeError that float() raises for a
+    Python complex."""
+    if type(value) is not float and isinstance(value, _NOT_REAL):  # floats skip the test
         raise TypeError(f"a real number is required, not {type(value).__name__}")
     return float(value)
 
@@ -70,13 +74,14 @@ def real_float(value) -> float:
 def real_array(values, name: str) -> np.ndarray:
     """`values` as an array, or `ValueError` naming `name` if it holds a
     complex, which a float cast would drop to its real part (or, inside an
-    object array, end in float()'s TypeError)."""
+    object array, end in float()'s TypeError), or text, which a float cast
+    would parse."""
     array = np.asarray(values)
-    if array.dtype.kind == "c":
+    if array.dtype.kind in "cUS":
         raise ValueError(f"{name} must be real, got dtype {array.dtype}")
     if array.dtype.kind == "O":
         for v in array.flat:
-            if isinstance(v, _COMPLEX):
+            if isinstance(v, _NOT_REAL):
                 raise ValueError(f"{name} must be real, got {v!r}")
     return array
 

@@ -369,6 +369,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="prior_p must be real"):
             advantage_three_row(0.5, priors)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: MirrorEnsemble(np.array([0.1, 0.2]), 0.3), "theta"),
+        (lambda: MirrorEnsemble(0.5, np.array([0.1, 0.2])), "prior_p"),
+        (lambda: TwoStateScenario(np.array([0.1, 0.2]), 0.5), "prior_p"),
+        (lambda: TwoStateScenario(0.5, np.array([0.1, 0.2])), "confusability_c"),
+        (lambda: threshold_prior(np.array([0.1, 0.2])), "theta"),
+        (lambda: advantage_three_row(np.array([0.1, 0.2]), np.array([0.1])), "theta"),
+    ], ids=["ensemble-theta", "ensemble-prior", "scenario-prior", "scenario-c", "threshold",
+            "row-theta"])
+    def test_multi_element_arrays_name_their_field(self, build, field):
+        # numpy's "truth value of an array ... is ambiguous" named no field
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            build()
+
+    @pytest.mark.parametrize("priors", [np.array(["0.1"]), np.array([b"0.1", b"0.2"]),
+                                        ["0.1", "0.2"], np.array(["0.1", 0.2], dtype=object)],
+                             ids=["str", "bytes", "list", "object"])
+    def test_row_rejects_text_priors(self, priors):
+        # a float cast would parse the text
+        with pytest.raises(ValueError, match="prior_p must be real"):
+            advantage_three_row(0.5, priors)
+
     @pytest.mark.parametrize("theta, prior", [(True, 0.25), (np.float32(0.5), np.int64(0)),
                                               (np.array(0.5), 0.25), (0, 0.5)], ids=repr)
     def test_real_numbers_of_any_type_are_accepted(self, theta, prior):

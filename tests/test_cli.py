@@ -4,6 +4,7 @@ import errno
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -384,6 +385,57 @@ class TestCmdMap:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_json_number_renderer_matches_json_dumps_on_every_float(self, value):
         assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 0.0, 1.0, 0.99999999996,
+        1e-5, 1.5e-05, 1.11022302e-16, 5e-324, 2.2250738585072014e-308,
+        123456789.0, 1e9, 1234567890.5, 1e16, 1e22,
+        math.nextafter(2.2250738585072014e-308, 0.0), 999999999.4, 999999999.5,
+        math.nextafter(1e9, 0.0), 0.9999999995,
+    ])
+    def test_unmarked_numbers_read_as_their_9g_text(self, value):
+        if not cli._json_special(np.array([value]))[0]:
+            assert "%.9g" % (value + 0.0) == json.dumps(_fmt_num(value))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_unmarked_numbers_read_as_their_9g_text_on_every_float(self, value):
+        if not cli._json_special(np.array([value]))[0]:
+            assert "%.9g" % (value + 0.0) == json.dumps(_fmt_num(value))
+
+    def test_special_marks_integers_extremes_and_non_finite_without_warnings(self):
+        # warnings are errors in this suite: inf must not reach inf - inf
+        values = np.array([math.nan, math.inf, -math.inf, 1.7976931348623157e308, 1e8, -3.0,
+                           0.0, -0.0, 5e-324, 1e-8, 0.9999999995, 0.1, 0.5, 1.5, 12345.678])
+        assert cli._json_special(values).tolist() == [True] * 11 + [False] * 4
+
+    def test_json_cells_with_marked_numbers_match_json_dumps(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Marked numbers at both edges and in the middle of each slice (256 + 44
+        # cells a row), in every number column, beside unmarked ones.
+        specials = itertools.cycle([1.0, 0.0, -0.0, 0.99999999996, 1e-5, 2.5e-308,
+                                    123456789.0, 1e9])
+        records = []
+
+        def row(theta, priors):
+            columns = (0.25 + priors / 3.0, 0.5 - priors / 7.0, priors / 11.0 - 0.125)
+            for column in columns:
+                for k in (0, len(priors) // 2, len(priors) - 1):
+                    column[k] = next(specials)
+            for prior, *numbers in zip(priors.tolist(), *(c.tolist() for c in columns)):
+                records.append(dict(zip(cli._MAP_FIELDS, [
+                    theta, prior, *numbers, numbers[2] > analytic.ADVANTAGE_TOL])))
+            return columns
+
+        monkeypatch.setattr(analytic, "advantage_three_row", row)
+        out = tmp_path / "grid.json"
+        assert main(["map", "--theta-steps", "3", "--prior-steps", "300",
+                     "--out", str(out), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(records) == 3 * 300
+        config = {"command": "map", "theta_steps": 3, "prior_steps": 300, "format": "json"}
+        expected = json.dumps({"config": config, "cells": [_json_obj(r) for r in records]},
+                              indent=2) + "\n"
+        assert out.read_bytes() == expected.encode()
 
     def test_fmt_canonicalizes_negative_zero(self):
         assert _fmt(-0.0) == "0"

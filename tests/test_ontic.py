@@ -401,6 +401,26 @@ class TestCheckModels:
                 FiniteOnticModel(distributions[0], PriorDistribution((0.5, 0.5)))
 
     @pytest.mark.parametrize(
+        "distributions, priors, name",
+        [
+            (np.array([[["0.5", "0.5"], ["1", "0"]]]), np.array([["0.5", "0.5"]]),
+             "distributions"),
+            (np.array([[[0.5, 0.5], [1.0, 0.0]]]), np.array([["0.5", "0.5"]]), "priors"),
+            (np.array([[[b"0.5", b"0.5"], [b"1", b"0"]]]), [[0.5, 0.5]], "distributions"),
+            (np.array([[["0.5", 0.5], [1.0, 0.0]]], dtype=object), [[0.5, 0.5]],
+             "distributions"),
+        ],
+        ids=["str", "str-priors", "bytes", "object-str"],
+    )
+    def test_rejects_text_input(self, distributions, priors, name):
+        # a float cast would parse the text
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            check_models(distributions, priors)
+        if name == "distributions":
+            with pytest.raises(ValueError, match="distributions must be real"):
+                FiniteOnticModel(distributions[0], PriorDistribution((0.5, 0.5)))
+
+    @pytest.mark.parametrize(
         "shapes", [((2, 3), (1, 2)), ((1, 2, 3), (2, 2)), ((1, 2, 0), (1, 2))],
         ids=["flat", "count", "empty-space"],
     )

@@ -49,6 +49,13 @@ class TestMakeState:
         with pytest.raises(ValueError, match="state angle must be a real number"):
             make_state(bad)
 
+    @pytest.mark.parametrize("bad", ["0.5", " 0.5 ", b"0.5", bytearray(b"0.5"), np.str_("0.5"),
+                                     np.bytes_(b"0.5")], ids=repr)
+    def test_text_rejected(self, bad):
+        # float() would parse it, where PureState rejects the same text
+        with pytest.raises(ValueError, match="state angle must be a real number"):
+            make_state(bad)
+
     @pytest.mark.parametrize("bad", [1j, np.complex128(0.5), np.complex64(0.5), "0.5", None,
                                      10**400],
                              ids=["1j", "complex128", "complex64", "str", "None", "huge-int"])
@@ -214,6 +221,14 @@ class TestPriorDistribution:
                                   "no-sequence"])
     def test_non_real_entries_raise_value_error(self, probabilities):
         # float() of such an entry raises TypeError, which must not escape
+        with pytest.raises(ValueError, match="priors must be a sequence of real numbers"):
+            PriorDistribution(probabilities)
+
+    @pytest.mark.parametrize("probabilities", [("0.5", " 0.5 "), (b"0.5", 0.5),
+                                               (0.5, np.str_("0.5"))],
+                             ids=["str", "bytes", "numpy-str"])
+    def test_text_entries_raise_value_error(self, probabilities):
+        # float() would parse them
         with pytest.raises(ValueError, match="priors must be a sequence of real numbers"):
             PriorDistribution(probabilities)
 
