@@ -20,14 +20,17 @@ it with exit 4, after their output is written.  A closed, missing or broken
 stderr drops the line and keeps the code.
 
 Output is deterministic: identical configuration gives byte-identical files.
-`map` computes and writes theta-row slices of at most 256 cells, each
-rendered with one `%` of a slice-wide template built once per map: the cell
-template (a CSV line, or a JSON object laid out as `json.dumps(..., indent=2)`
-would place it) joined once per cell, its three numbers in `%.9g` slots.  A
-JSON slice with a cell whose numbers may read otherwise in JSON (`1.0` for
-`1`) joins its own template, that cell's numbers in text slots.  The prior
-column, rendered once per map, is all its memory holds per prior, about 80
-bytes, so `--prior-steps` is at most 2**20.  `ontic-check` tallies the checks
+Records and map cells share one number rule and one layout: `_numbers`
+writes every float (`%.9g` in CSV, in JSON what `json.dumps` writes of that
+text's float), and `_cell` lays out every record and cell (a CSV line, or a
+JSON object as `json.dumps(..., indent=2)` would place it).  `map` computes
+and writes theta-row slices of at most 256 cells, each rendered with one `%`
+of a slice-wide template built once per map: the cell template joined once
+per cell, its three numbers in `%.9g` slots.  A JSON slice with a cell
+whose numbers may read otherwise in JSON (`1.0` for `1`) joins its own
+template, that cell's numbers in text slots.  The prior column, rendered
+once per map, is all its memory holds per prior, about 80 bytes, so
+`--prior-steps` is at most 2**20.  `ontic-check` tallies the checks
 that `ontic.check_random_models` yields for `--num-models` model pairs drawn
 from `--seed` (>= 0), one group of a single ontic-space size at a time, so
 its memory does not depend on `--num-models`.  Angles take radians (`--theta`,
@@ -61,16 +64,6 @@ EXIT_TOLERANCE = 4
 _MAP_CHUNK = 256  # cells per piece of the map file; bounds the memory of a piece
 _MAX_PRIOR_STEPS = 2**20  # the prior column map holds: about 80 MB at this bound
 _MAP_FIELDS = ("theta", "prior", "s_quantum", "s_nc_bound", "gap", "advantage")
-
-
-def _fmt(x: float) -> str:
-    """Floats rendered with 9 significant digits; `+ 0.0` canonicalizes -0.0."""
-    return format(x + 0.0, ".9g")
-
-
-def _fmt_num(x: float) -> float:
-    """Round-trip through the 9-significant-digit rendering for JSON."""
-    return float(_fmt(x))
 
 
 class _Failure(Exception):
@@ -118,19 +111,56 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         raise compute_errors[0]
 
 
-def _json_obj(record: dict) -> dict:
-    return {
-        k: (v if isinstance(v, (bool, str, int)) else _fmt_num(v))
-        for k, v in record.items()
-    }
+def _numbers(values: np.ndarray, fmt: str) -> list[str]:
+    """The text in `fmt` of each finite v of `values`: in CSV `"%.9g" % (v + 0.0)`
+    (`+ 0.0` canonicalizes -0.0); in JSON what `json.dumps` writes of that
+    text's float, the shortest round-trip of its 9-significant-digit value, so
+    1 reads `1.0`.
+
+    The JSON text is the `%.9g` text, with `.0` appended if it has neither `.`
+    nor `e`: any decimal of at most 15 digits round-trips, so no shorter one
+    reads the same float.  Where the text's exponent is 9 to 15 (`repr`
+    writes `1e+09` as `1000000000.0`) or -308 and below (subnormals hold
+    fewer digits), it is `repr(float(text))` instead."""
+    texts = list(map("%.9g".__mod__, (values + 0.0).tolist()))
+    if fmt == "csv":
+        return texts
+    return [t if "e" not in t and "." in t else _json_text(t) for t in texts]
+
+
+def _json_text(text: str) -> str:
+    """`_numbers`' JSON rule for a `%.9g` text that has an `e` or no `.`."""
+    if "e" not in text:
+        return text + ".0"
+    exponent = int(text.partition("e")[2])
+    return repr(float(text)) if 9 <= exponent <= 15 or exponent <= -308 else text
+
+
+def _cell(fmt: str, fields: Sequence[str], slots: Sequence[str], depth: int) -> str:
+    """One record or map cell, the text of each of its `fields` in a slot: a
+    CSV line, or the object that `json.dumps(..., indent=2)` writes at `depth`
+    of its payload (0 for a record, 2 for a map cell), from the indent of its
+    first line to its closing brace.  A CSV header is the cell of its fields."""
+    if fmt == "csv":
+        return ",".join(slots) + "\n"
+    pad = "  " * depth
+    return pad + "{" + ",".join(f"\n{pad}  {json.dumps(k)}: {slot}"
+                                for k, slot in zip(fields, slots)) + f"\n{pad}}}"
 
 
 def _render_record(record: dict, fmt: str) -> str:
+    """`record` as a CSV header and line, or as the JSON object that
+    `json.dumps(record, indent=2)` writes with its floats' text from `_numbers`;
+    a CSV int takes `_numbers`' text too.  Every record float is finite, as
+    `_numbers` requires (its JSON rule writes no `NaN` or `Infinity`): the
+    commands' inputs are validated, and `quantum` is clamped to [0, 1]."""
+    slots = [("false", "true")[v] if isinstance(v, bool)
+             else (v if fmt == "csv" else json.dumps(v)) if isinstance(v, str)
+             else str(v) if isinstance(v, int) and fmt == "json"
+             else _numbers(np.array([v]), fmt)[0] for v in record.values()]
     if fmt == "csv":
-        values = ("true" if v is True else "false" if v is False else
-                  v if isinstance(v, str) else _fmt(v) for v in record.values())
-        return f"{','.join(record)}\n{','.join(values)}\n"
-    return json.dumps(_json_obj(record), indent=2) + "\n"
+        return _cell(fmt, record, record, 0) + _cell(fmt, record, slots, 0)
+    return _cell(fmt, record, slots, 0) + "\n"
 
 
 def cmd_two(args: argparse.Namespace) -> None:
@@ -164,36 +194,8 @@ def cmd_three(args: argparse.Namespace) -> None:
     _write([_render_record(record, args.format)], args.out)
 
 
-def _csv_texts(column: np.ndarray) -> list[str]:
-    """`_fmt(v)` for each v of `column`."""
-    return list(map(_fmt, column.tolist()))
-
-
-def _json_numbers(column: np.ndarray) -> list[str]:
-    """`json.dumps(_fmt_num(v))` for each finite v of `column`: the shortest
-    round-trip of its 9-significant-digit value, so 1 reads `1.0`.  The map
-    renders its theta and prior texts with it, and the numbers of the cells
-    that `_json_special` marks.
-
-    That is the `%.9g` text, with `.0` appended if it has neither `.` nor
-    `e`: any decimal of at most 15 digits round-trips, so no shorter one
-    reads the same float.  Where the text's exponent is 9 to 15 (`repr`
-    writes `1e+09` as `1000000000.0`) or -308 and below (subnormals hold
-    fewer digits), it is `repr(float(text))` instead."""
-    return [t if "e" not in t and "." in t else _json_text(t)
-            for t in map("%.9g".__mod__, (column + 0.0).tolist())]
-
-
-def _json_text(text: str) -> str:
-    """`_json_numbers`' rule for a `%.9g` text that has an `e` or no `.`."""
-    if "e" not in text:
-        return text + ".0"
-    exponent = int(text.partition("e")[2])
-    return repr(float(text)) if 9 <= exponent <= 15 or exponent <= -308 else text
-
-
 def _json_special(column: np.ndarray) -> np.ndarray:
-    """Marks each v of `column` whose `_json_numbers` text may differ from
+    """Marks each v of `column` whose JSON `_numbers` text may differ from
     `"%.9g" % (v + 0.0)`: |v - rint(v)| <= 1e-8 * max(1, |v|), which holds
     for every v that `%.9g` rounds to an integer (0 included) and for every
     |v| <= 1e-8 (so every exponent of -308 and below), or |v| >= 1e8 (so
@@ -203,28 +205,11 @@ def _json_special(column: np.ndarray) -> np.ndarray:
     return ~(np.abs(capped - np.rint(capped)) > 1e-8 * np.maximum(capped, 1.0))
 
 
-def _map_cell(fmt: str, slots: Sequence[str]) -> str:
-    """The map's cell template in `fmt` with one slot per field of `_MAP_FIELDS`.
-    JSON cells are objects at depth 2 of the payload, as
-    `json.dumps(..., indent=2)` lays them out."""
-    if fmt == "csv":
-        return ",".join(slots) + "\n"
-    return "\n    {" + ",".join(f"\n      {json.dumps(k)}: {slot}"
-                             for k, slot in zip(_MAP_FIELDS, slots)) + "\n    }"
-
-
-# Per map format: the renderer of the theta and prior texts, the separator
-# between cells, and the predicate that marks a number for a text slot.  Both
-# formats' cells format their three numbers in `%.9g` slots; a JSON cell with
-# a marked number takes all three as `_json_numbers` texts in `%s` slots.
-_MAP_FORMATS = {"csv": (_csv_texts, "", None), "json": (_json_numbers, ",", _json_special)}
-
-
 def _map_frame(theta_steps: int, prior_steps: int, fmt: str) -> tuple[str, str]:
     """The map file's text before and after its cells: the CSV header, or the
     JSON payload around the cells list."""
     if fmt == "csv":
-        return ",".join(_MAP_FIELDS) + "\n", ""
+        return _cell(fmt, _MAP_FIELDS, _MAP_FIELDS, 0), ""
     config = {
         "command": "map",
         "theta_steps": theta_steps,
@@ -232,32 +217,33 @@ def _map_frame(theta_steps: int, prior_steps: int, fmt: str) -> tuple[str, str]:
         "format": fmt,
     }
     head, tail = json.dumps({"config": config, "cells": []}, indent=2).split("[]")
-    return head + "[", "\n  ]" + tail + "\n"
+    return head + "[\n", "\n  ]" + tail + "\n"
 
 
 def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
     """The map file in pieces of at most `_MAP_CHUNK` cells, theta-major,
     between the text of `_map_frame`.  Each piece is one slice of a theta-row,
     computed by `analytic.advantage_three_row` and rendered with one `%` of
-    its length's template from a flat tuple, cell by cell, its three number
-    columns as floats.  The templates and the prior texts are made once per
-    map.  A JSON slice with cells that `_json_special` marks instead joins
-    its template per cell, a marked cell's numbers in text slots.  Row i's
+    its length's template from a flat tuple, cell by cell: theta and prior
+    as `_numbers` texts, the three number columns as floats in `%.9g` slots.
+    The templates and the prior texts are made once per map.  A JSON slice
+    with cells that `_json_special` marks instead joins its template per
+    cell, a marked cell's numbers as `_numbers` texts in `%s` slots.  Row i's
     angle is capped at `HALF_PI`, which `HALF_PI * i / (theta_steps - 1)`
     overshoots by one ulp in the last row at some counts (14, 27, 48, ...)."""
     head, tail = _map_frame(theta_steps, prior_steps, fmt)
-    texts, separator, special = _MAP_FORMATS[fmt]
-    cell = _map_cell(fmt, ("%s", "%s", "%.9g", "%.9g", "%.9g", "%s"))
-    text_cell = _map_cell(fmt, ["%s"] * 6)
+    separator = ",\n" if fmt == "json" else ""
+    cell = _cell(fmt, _MAP_FIELDS, ("%s", "%s", "%.9g", "%.9g", "%.9g", "%s"), 2)
+    text_cell = _cell(fmt, _MAP_FIELDS, ["%s"] * 6, 2)
     priors = [0.5 * np.arange(start, min(start + _MAP_CHUNK, prior_steps)) / (prior_steps - 1)
               for start in range(0, prior_steps, _MAP_CHUNK)]
-    slices = [(prior, texts(prior)) for prior in priors]
+    slices = [(prior, _numbers(prior, fmt)) for prior in priors]
     templates = {len(prior): separator.join([cell] * len(prior)) for prior in priors}
     yield head
     lead = ""
     for i in range(theta_steps):
         theta = min(analytic.HALF_PI, analytic.HALF_PI * i / (theta_steps - 1))
-        theta_text = texts(np.array([theta]))[0]
+        theta_text = _numbers(np.array([theta]), fmt)[0]
         for prior, prior_texts in slices:
             quantum, nc, gap = columns = analytic.advantage_three_row(theta, prior)
             flat = [theta_text] * (6 * len(prior))
@@ -267,12 +253,12 @@ def _map_chunks(theta_steps: int, prior_steps: int, fmt: str) -> Iterator[str]:
             flat[4::6] = (gap + 0.0).tolist()
             flat[5::6] = [("false", "true")[a] for a in (gap > analytic.ADVANTAGE_TOL).tolist()]
             template = templates[len(prior)]
-            if special is not None:
-                marked = special(quantum) | special(nc) | special(gap)
+            if fmt == "json":
+                marked = _json_special(quantum) | _json_special(nc) | _json_special(gap)
                 if marked.any():
                     template = separator.join([(cell, text_cell)[m] for m in marked.tolist()])
                     at = np.flatnonzero(marked)
-                    for k, *numbers in zip(at.tolist(), *(texts(c[at]) for c in columns)):
+                    for k, *numbers in zip(at.tolist(), *(_numbers(c[at], fmt) for c in columns)):
                         flat[6 * k + 2:6 * k + 5] = numbers
             yield lead + template % tuple(flat)
             lead = separator
@@ -331,12 +317,13 @@ def cmd_ontic_check(args: argparse.Namespace) -> None:
              f"three-state bound: {three_pass}/{n} pass\n",
              f"decomposition identity: {identity_pass}/{n} pass\n"]
     if n == 1:  # one model, one partial group: `two` and `three` hold its checks
-        lines[:0] = [f"two-state: success={_fmt(two.success.item())} "
-                     f"overlap={_fmt(two.overlaps.item())} "
-                     f"bound={_fmt(two.bound.item())} passed={two.passed.item()}\n",
-                     f"three-state: success={_fmt(three.success.item())} "
-                     f"bound={_fmt(three.bound.item())} passed={three.passed.item()} "
-                     f"decomposition_error={_fmt(three.decomposition_error.item())}\n"]
+        s2, o2, b2, s3, b3, e3 = _numbers(np.array([a.item() for a in (
+            two.success, two.overlaps, two.bound,
+            three.success, three.bound, three.decomposition_error)]), "csv")
+        lines[:0] = [f"two-state: success={s2} overlap={o2} bound={b2} "
+                     f"passed={two.passed.item()}\n",
+                     f"three-state: success={s3} bound={b3} passed={three.passed.item()} "
+                     f"decomposition_error={e3}\n"]
     _write(lines, None)
     if not two_pass == three_pass == identity_pass == n:
         raise _Failure(EXIT_TOLERANCE, "a model fails a bound or the decomposition identity")

@@ -74,10 +74,11 @@ def real_float(value) -> float:
 def real_array(values, name: str) -> np.ndarray:
     """`values` as an array, or `ValueError` naming `name` if it holds a
     complex, which a float cast would drop to its real part (or, inside an
-    object array, end in float()'s TypeError), or text, which a float cast
-    would parse."""
+    object array, end in float()'s TypeError), text, which a float cast
+    would parse, or a datetime64 or timedelta64, which a float cast would
+    read as a count of its units."""
     array = np.asarray(values)
-    if array.dtype.kind in "cUS":
+    if array.dtype.kind in "cUSMm":
         raise ValueError(f"{name} must be real, got dtype {array.dtype}")
     if array.dtype.kind == "O":
         for v in array.flat:

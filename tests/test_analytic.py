@@ -362,10 +362,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("priors", [np.array([0.1 + 1j]), [0.2, 0.1j],
                                         np.array([0.1], dtype=np.complex64),
-                                        np.array([0.1, 0.2 + 1j], dtype=object)],
-                             ids=["complex128", "list", "complex64", "object"])
+                                        np.array([0.1, 0.2 + 1j], dtype=object),
+                                        np.array([0, 0], dtype="timedelta64[s]"),
+                                        np.array(["2020-01-01"], dtype="datetime64[D]")],
+                             ids=["complex128", "list", "complex64", "object", "timedelta64",
+                                  "datetime64"])
     def test_row_rejects_complex_priors(self, priors):
-        # a float cast would keep the real parts with only a ComplexWarning
+        # a float cast would keep the real parts with only a ComplexWarning, or
+        # read a timedelta or datetime as a count of its units (days since 1970)
         with pytest.raises(ValueError, match="prior_p must be real"):
             advantage_three_row(0.5, priors)
 

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mesd import analytic, cli, ontic, oracle
-from mesd.analytic import MirrorEnsemble
-from mesd.cli import _fmt, _fmt_num, _json_numbers, _json_obj, main
-from mesd.qcore import PriorDistribution, validate_povm
+from mesd.analytic import MirrorEnsemble, TwoStateScenario
+from mesd.cli import main
+from mesd.qcore import PriorDistribution, make_state, validate_povm
 
 MAP_HEADER = "theta,prior,s_quantum,s_nc_bound,gap,advantage"
 ANGLE_FLAGS = [("three", "--theta"), ("oracle-three", "--theta"), ("oracle-two", "--sep")]
@@ -50,10 +50,36 @@ def parse_csv(text: str) -> list[dict]:
     return rows
 
 
+# Reference renderers that use no cli code: a float is written with 9
+# significant digits, -0.0 as 0, and JSON carries the float of that text.
+def ref_9g(value: float) -> str:
+    return "%.9g" % (value + 0.0)
+
+
+def ref_json_number(value: float) -> str:
+    return json.dumps(float(ref_9g(value)))
+
+
+def ref_json_obj(record: dict) -> dict:
+    """`record` with each float replaced by the float of its 9-digit text."""
+    return {k: v if isinstance(v, (bool, str, int)) else float(ref_9g(v))
+            for k, v in record.items()}
+
+
+def ref_record(record: dict, fmt: str) -> str:
+    """A command's record as defined: a CSV header and line, or one
+    `json.dumps(..., indent=2)` of the record."""
+    if fmt == "json":
+        return json.dumps(ref_json_obj(record), indent=2) + "\n"
+    values = [str(v).lower() if isinstance(v, bool) else v if isinstance(v, str)
+              else ref_9g(v) for v in record.values()]
+    return ",".join(record) + "\n" + ",".join(values) + "\n"
+
+
 def reference_map(theta_steps: int, prior_steps: int, fmt: str) -> str:
     """The map file as defined: scalar `advantage_three` cells, theta-major,
     row i at angle (pi/2) * i / (theta_steps - 1) capped at pi/2; a CSV line
-    of `_fmt` fields per cell, or each cell through `_json_obj` in one
+    of `ref_9g` fields per cell, or each cell through `ref_json_obj` in one
     `json.dumps(..., indent=2)` of the payload."""
     records = []
     for i in range(theta_steps):
@@ -66,12 +92,63 @@ def reference_map(theta_steps: int, prior_steps: int, fmt: str) -> str:
                             "advantage": pair.advantage})
     if fmt == "csv":
         return MAP_HEADER + "\n" + "".join(
-            ",".join([*map(_fmt, list(r.values())[:5]), str(r["advantage"]).lower()]) + "\n"
+            ",".join([*map(ref_9g, list(r.values())[:5]), str(r["advantage"]).lower()]) + "\n"
             for r in records)
     config = {"command": "map", "theta_steps": theta_steps,
               "prior_steps": prior_steps, "format": fmt}
-    return json.dumps({"config": config, "cells": [_json_obj(r) for r in records]},
+    return json.dumps({"config": config, "cells": [ref_json_obj(r) for r in records]},
                       indent=2) + "\n"
+
+
+def library_record(command: str, x: float, prior: float) -> dict:
+    """The record `command` reports at `x` (the overlap, or the angle in
+    degrees) and `prior`, from the library calls it makes."""
+    if command == "two":
+        pair = analytic.advantage_two(TwoStateScenario(prior_p=prior, confusability_c=x))
+        return {"helstrom": pair.quantum, "nc_bound": pair.noncontextual,
+                "gap": pair.gap, "advantage": pair.advantage}
+    ensemble = MirrorEnsemble(theta=math.radians(x), prior_p=prior)
+    if command == "three":
+        pair = analytic.advantage_three(ensemble)
+        return {"threshold_prior": analytic.threshold_prior(math.radians(x)),
+                "branch": analytic.quantum_three_branch(ensemble), "s_quantum": pair.quantum,
+                "s_nc_bound": pair.noncontextual, "gap": pair.gap,
+                "advantage": pair.advantage}
+    if command == "oracle-two":
+        sep = math.radians(x)
+        expected = analytic.helstrom_two(
+            TwoStateScenario(prior_p=prior, confusability_c=math.cos(sep) ** 2))
+        result = oracle.optimize_two(make_state(0.0), make_state(sep), prior)
+    else:
+        expected, result = analytic.quantum_three(ensemble), oracle.optimize_three(ensemble)
+    return {"analytic": expected, "oracle": result.success,
+            "difference": abs(result.success - expected), "evaluations": result.evaluations}
+
+
+RECORD_CASES = [("two", 0.5, 0.5), ("two", 0.0, 0.5), ("three", 0.0, 0.5), ("three", 60.0, 0.3),
+                ("oracle-two", 30.0, 0.3), ("oracle-three", 0.0, 0.5),
+                ("oracle-three", 60.0, 0.3)]
+
+
+class TestRecordBytes:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command, x, prior", RECORD_CASES)
+    def test_record_matches_reference(self, capsys, command, x, prior, fmt):
+        flag = {"two": "--overlap", "oracle-two": "--sep-deg"}.get(command, "--theta-deg")
+        code, out = run(capsys, command, flag, str(x), "--prior", str(prior), "--format", fmt)
+        assert code == 0
+        assert out == ref_record(library_record(command, x, prior), fmt)
+
+    def test_cases_hold_every_kind_of_field(self):
+        # a branch string, an int count, an exact zero difference, and floats
+        # whose 9-digit texts read 1 and 0
+        records = [library_record(*case) for case in RECORD_CASES]
+        values = [v for r in records for v in r.values()]
+        assert any(isinstance(v, str) for v in values)
+        assert any(type(v) is int for v in values)
+        assert any(r.get("difference") == 0.0 for r in records)
+        floats = {ref_9g(v) for v in values if type(v) is float}
+        assert {"1", "0"} <= floats
 
 
 class TestCmdTwo:
@@ -380,11 +457,11 @@ class TestCmdMap:
         math.nextafter(1e9, 0.0), 0.9999999995,
     ])
     def test_json_number_renderer_matches_json_dumps(self, value):
-        assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
+        assert cli._numbers(np.array([value]), "json") == [ref_json_number(value)]
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_json_number_renderer_matches_json_dumps_on_every_float(self, value):
-        assert _json_numbers(np.array([value])) == [json.dumps(_fmt_num(value))]
+        assert cli._numbers(np.array([value]), "json") == [ref_json_number(value)]
 
     @pytest.mark.parametrize("value", [
         -0.0, 0.0, 1.0, 0.99999999996,
@@ -395,12 +472,12 @@ class TestCmdMap:
     ])
     def test_unmarked_numbers_read_as_their_9g_text(self, value):
         if not cli._json_special(np.array([value]))[0]:
-            assert "%.9g" % (value + 0.0) == json.dumps(_fmt_num(value))
+            assert "%.9g" % (value + 0.0) == ref_json_number(value)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_unmarked_numbers_read_as_their_9g_text_on_every_float(self, value):
         if not cli._json_special(np.array([value]))[0]:
-            assert "%.9g" % (value + 0.0) == json.dumps(_fmt_num(value))
+            assert "%.9g" % (value + 0.0) == ref_json_number(value)
 
     def test_special_marks_integers_extremes_and_non_finite_without_warnings(self):
         # warnings are errors in this suite: inf must not reach inf - inf
@@ -433,12 +510,12 @@ class TestCmdMap:
         capsys.readouterr()
         assert len(records) == 3 * 300
         config = {"command": "map", "theta_steps": 3, "prior_steps": 300, "format": "json"}
-        expected = json.dumps({"config": config, "cells": [_json_obj(r) for r in records]},
+        expected = json.dumps({"config": config, "cells": [ref_json_obj(r) for r in records]},
                               indent=2) + "\n"
         assert out.read_bytes() == expected.encode()
 
     def test_fmt_canonicalizes_negative_zero(self):
-        assert _fmt(-0.0) == "0"
+        assert cli._numbers(np.array([-0.0]), "csv") == ["0"]
 
     @staticmethod
     def traced_peak(out: Path, theta_steps: int, prior_steps: int, fmt: str) -> int:
@@ -742,10 +819,10 @@ class TestCmdOnticCheck:
             r3 = ontic.check_three_state_bound(
                 ontic.FiniteOnticModel(mu3[0], PriorDistribution(tuple(p3[0]))))
             assert out.splitlines()[:2] == [
-                f"two-state: success={_fmt(r2.success)} overlap={_fmt(r2.overlap)} "
-                f"bound={_fmt(r2.bound)} passed={r2.passed}",
-                f"three-state: success={_fmt(r3.success)} bound={_fmt(r3.bound)} "
-                f"passed={r3.passed} decomposition_error={_fmt(r3.decomposition_error)}"]
+                f"two-state: success={ref_9g(r2.success)} overlap={ref_9g(r2.overlap)} "
+                f"bound={ref_9g(r2.bound)} passed={r2.passed}",
+                f"three-state: success={ref_9g(r3.success)} bound={ref_9g(r3.bound)} "
+                f"passed={r3.passed} decomposition_error={ref_9g(r3.decomposition_error)}"]
 
     def test_no_check_exceeds_one_group(self, capsys, monkeypatch):
         calls = self.record_checks(monkeypatch)

@@ -376,11 +376,18 @@ class TestCheckModels:
             (np.ones((1, 2, 1)) * (1 + 1j), np.array([[0.5, 0.5]]), "distributions"),
             (np.ones((1, 2, 1)), np.array([[0.5, 0.5]], dtype=complex), "priors"),
             (np.full((1, 2, 2), 0.5, dtype=np.complex64), [[0.5, 0.5]], "distributions"),
+            (np.array([[[1, 0], [0, 1]]], dtype="timedelta64[s]"), np.array([[0.5, 0.5]]),
+             "distributions"),
+            (np.eye(2)[None], np.array([[0, 0]], dtype="timedelta64[s]"), "priors"),
+            (np.eye(2)[None], np.array([["2020-01-01", "2020-01-01"]], dtype="datetime64[D]"),
+             "priors"),
         ],
-        ids=["distributions", "zero-imaginary-priors", "complex64"],
+        ids=["distributions", "zero-imaginary-priors", "complex64", "timedelta64",
+             "timedelta64-priors", "datetime64-priors"],
     )
     def test_rejects_complex_input(self, distributions, priors, name):
-        # a float cast would drop the imaginary parts with only a ComplexWarning
+        # a float cast would drop the imaginary parts with only a ComplexWarning,
+        # or read a timedelta or datetime as a count of its units
         with pytest.raises(ValueError, match=f"{name} must be real"):
             check_models(distributions, priors)
 
