@@ -107,19 +107,19 @@ def library_record(command: str, x: float, prior: float) -> dict:
         pair = analytic.advantage_two(TwoStateScenario(prior_p=prior, confusability_c=x))
         return {"helstrom": pair.quantum, "nc_bound": pair.noncontextual,
                 "gap": pair.gap, "advantage": pair.advantage}
-    ensemble = MirrorEnsemble(theta=math.radians(x), prior_p=prior)
-    if command == "three":
-        pair = analytic.advantage_three(ensemble)
-        return {"threshold_prior": analytic.threshold_prior(math.radians(x)),
-                "branch": analytic.quantum_three_branch(ensemble), "s_quantum": pair.quantum,
-                "s_nc_bound": pair.noncontextual, "gap": pair.gap,
-                "advantage": pair.advantage}
     if command == "oracle-two":
         sep = math.radians(x)
         expected = analytic.helstrom_two(
             TwoStateScenario(prior_p=prior, confusability_c=math.cos(sep) ** 2))
         result = oracle.optimize_two(make_state(0.0), make_state(sep), prior)
     else:
+        ensemble = MirrorEnsemble(theta=math.radians(x), prior_p=prior)
+        if command == "three":
+            pair = analytic.advantage_three(ensemble)
+            return {"threshold_prior": analytic.threshold_prior(math.radians(x)),
+                    "branch": analytic.quantum_three_branch(ensemble), "s_quantum": pair.quantum,
+                    "s_nc_bound": pair.noncontextual, "gap": pair.gap,
+                    "advantage": pair.advantage}
         expected, result = analytic.quantum_three(ensemble), oracle.optimize_three(ensemble)
     return {"analytic": expected, "oracle": result.success,
             "difference": abs(result.success - expected), "evaluations": result.evaluations}
