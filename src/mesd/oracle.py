@@ -13,7 +13,10 @@ the measurement found and a proven upper bound on the success of every
 measurement.  The success is min(1, Tr Gamma), Tr Gamma = sum_i p_i
 <psi_i| E_i |psi_i> of the reported effects, and the upper end is the
 solver's dual bound, but never below the success; `_verdict` validates the
-effects and orders the interval, so it is ordered by construction.
+effects and orders the interval, so it is ordered by construction.  It
+builds each effect from its rows with `Effect._from_rows`, which checks the
+four floats as `Effect` checks a matrix, with no numpy array: an effect's
+`.matrix` is built only when it is read.
 
 The private functions share one format: states (p, x, y), prior p and real
 ket (x, y), in; effects as rows ((e_xx, e_xy), (e_xy, e_yy)) out.
@@ -38,11 +41,12 @@ import numpy as np
 from .analytic import MirrorEnsemble
 from .qcore import (
     COMPLETENESS_TOL,
+    Effect,
     Povm,
     PriorDistribution,
     PureState,
     born_probability,
-    validate_povm,
+    within,
 )
 
 _MAX_GRID_N = 2**20
@@ -109,7 +113,7 @@ def optimize_two(
         raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if not 64 <= grid_n <= _MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [64, {_MAX_GRID_N}], got {grid_n}")
-    if not refine_iters >= 0:
+    if not within(refine_iters, 0.0, math.inf):
         raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     q1, q2 = PriorDistribution((1.0 - p, p)).probabilities
     states = [(q1, *s1.amplitudes), (q2, *s2.amplitudes)]
@@ -134,11 +138,15 @@ def optimize_two(
 
 
 def _verdict(effects: Sequence, evaluations: int, value: float, bound: float) -> OracleResult:
-    """The validated `effects` (2x2 rows), whose Tr Gamma is `value`,
-    with the interval success = min(1, value), dual_bound = max(success, bound),
-    `bound` being the solver's upper bound on every measurement's success: so
-    success <= dual_bound, with no tolerance.  It computes nothing else."""
-    povm = validate_povm(effects)
+    """The `effects` (real 2x2 rows), whose Tr Gamma is `value`, as a
+    validated POVM, with the interval success = min(1, value),
+    dual_bound = max(success, bound), `bound` being the solver's upper bound
+    on every measurement's success: so success <= dual_bound, with no
+    tolerance.  Each row is checked by `Effect._from_rows` and the POVM by
+    `Povm`, in Python floats: the same verdicts and messages as
+    `validate_povm(effects)`, without a numpy array.  It computes nothing
+    else."""
+    povm = Povm([Effect._from_rows(rows) for rows in effects])
     success = min(1.0, value)
     return OracleResult(success, povm, evaluations, max(success, bound))
 
@@ -294,7 +302,7 @@ def optimize_three(
     from it directly, bit for bit the priors and kets of `ensemble.priors()`
     and `ensemble.states()`.
     """
-    if not (grid_n >= 16 and refine_iters >= 0):
+    if not (within(grid_n, 16.0, math.inf) and within(refine_iters, 0.0, math.inf)):
         raise ValueError(f"need grid_n >= 16, refine_iters >= 0, got {grid_n}, {refine_iters}")
     c, s, p = math.cos(ensemble.theta), math.sin(ensemble.theta), float(ensemble.prior_p)
     return _verdict(*_active_set([(p, c, s), (p, c, -s), (1.0 - 2.0 * p, 1.0, 0.0)]))

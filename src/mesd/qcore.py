@@ -1,9 +1,11 @@
 """Minimal qubit linear algebra for in-plane pure states.
 
 States live on the great circle of the Bloch sphere spanned by the real
-combinations of |0> and |1>, so a single angle fixes a state.  Effects and
-POVMs are kept as full 2x2 complex matrices, and validated as such, but the
-Born rule on these real kets reads only their real parts.
+combinations of |0> and |1>, so a single angle fixes a state.  An effect
+[[a, b], [c, d]] keeps its four entries once, as Python numbers, and is
+validated on them; its `.matrix`, the read-only 2x2 complex array, is the
+one the public constructor parsed, or is built on first read for an effect
+from real rows.  The Born rule on these real kets reads only real parts.
 
 Effects and POVMs are checked in closed form, without an eigensolver.  Of a
 matrix [[a, b], [c, d]] the positivity tests read the lower triangle a, c, d,
@@ -15,7 +17,7 @@ M + PSD_TOL*I, and lambda_max <= EFFECT_MAX is that test on EFFECT_MAX*I - M.
 It is exact up to the rounding of the two products, about eps times the
 entries, far below PSD_TOL for effects of norm ~1.
 
-All of it runs in Python floats on each matrix's four entries, read once.
+All of it runs in Python floats on each effect's four stored entries.
 Hermiticity compares real and imaginary parts, and a POVM is validated in
 one pass over its members that sums them in member order, the order of
 numpy's axis-0 sum, and runs each member's EFFECT_MAX test on the way.
@@ -23,7 +25,8 @@ numpy's axis-0 sum, and runs each member's EFFECT_MAX test on the way.
 Input that is not a real number, such as a complex (numpy orders one, and
 casts it to float, by its real part), is a ValueError naming its field:
 `within`, `real_float` and `real_array` are the checks this module,
-`analytic` and `ontic` share.
+`analytic` and `ontic` share.  An effect may be complex, but not text or
+a datetime, which a complex cast would parse or count.
 """
 
 from __future__ import annotations
@@ -47,8 +50,9 @@ _FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest finite float
 # alone, with at most a ComplexWarning.  Its complex128 is a Python complex,
 # its complex64 is not.
 _COMPLEX = (complex, np.complexfloating)
-# float() also parses text: a numeric str, bytes or bytearray.
-_NOT_REAL = (*_COMPLEX, str, bytes, bytearray)
+# float() and complex() also parse text: a numeric str, bytes or bytearray.
+_TEXT = (str, bytes, bytearray)
+_NOT_REAL = (*_COMPLEX, *_TEXT)
 
 
 def within(value, low: float, high: float) -> bool:
@@ -77,13 +81,20 @@ def real_array(values, name: str) -> np.ndarray:
     object array, end in float()'s TypeError), text, which a float cast
     would parse, or a datetime64 or timedelta64, which a float cast would
     read as a count of its units."""
+    return _number_array(values, name, "real", "cUSMm", _NOT_REAL)
+
+
+def _number_array(values, name: str, kind: str, kinds: str, types: tuple) -> np.ndarray:
+    """`values` as an array, or `ValueError` saying `name` must be `kind`
+    if its dtype kind is one of `kinds` or, for an object array, an entry
+    is an instance of `types`."""
     array = np.asarray(values)
-    if array.dtype.kind in "cUSMm":
-        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    if array.dtype.kind in kinds:
+        raise ValueError(f"{name} must be {kind}, got dtype {array.dtype}")
     if array.dtype.kind == "O":
         for v in array.flat:
-            if isinstance(v, _NOT_REAL):
-                raise ValueError(f"{name} must be real, got {v!r}")
+            if isinstance(v, types):
+                raise ValueError(f"{name} must be {kind}, got {v!r}")
     return array
 
 
@@ -148,6 +159,21 @@ def _is_psd(x: float, y: float, c: complex) -> bool:
     return x >= 0.0 and y >= 0.0 and x * y >= r * r
 
 
+def _check_entries(a, b, c, d) -> None:
+    """Raise `ValueError` unless [[a, b], [c, d]], four Python numbers
+    (complex or real), is Hermitian within HERMITIAN_TOL and positive
+    semidefinite within PSD_TOL: `Effect`'s one check."""
+    # |a - conj(a)| = hypot(Re a - Re a, 2 Im a), and Re a - Re a is 0,
+    # or NaN if Re a is not finite; likewise for d
+    if not (math.isfinite(a.real) and math.isfinite(d.real)
+            and abs(a.imag + a.imag) <= HERMITIAN_TOL
+            and abs(d.imag + d.imag) <= HERMITIAN_TOL
+            and math.hypot(b.real - c.real, b.imag + c.imag) <= HERMITIAN_TOL):
+        raise ValueError("non-Hermitian effect")
+    if not _is_psd(a.real + PSD_TOL, d.real + PSD_TOL, c):
+        raise ValueError("non-positive effect")
+
+
 @dataclass(frozen=True, eq=False)  # compares by value, so unhashable
 class Effect:
     """A positive semidefinite 2x2 measurement effect.
@@ -158,32 +184,57 @@ class Effect:
     at most HERMITIAN_TOL; a NaN or infinite entry fails that test.
     Positivity is Sylvester's criterion on the lower triangle of
     M + PSD_TOL*I: x = Re a + PSD_TOL >= 0, y = Re d + PSD_TOL >= 0 and
-    x*y >= |c|*|c|.
+    x*y >= |c|*|c|.  Text and datetimes are rejected, not parsed.
+
+    The four entries are kept once, as Python numbers, and are what `Povm`
+    sums and effects compare by.  `_from_rows` builds an effect from real
+    rows without numpy; its `.matrix` is built from the entries on first
+    read, bit for bit the array `Effect(rows)` keeps.  A pickle or copy
+    carries the entries only.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(_number_array(self.matrix, "effect", "numeric", "USMm", _TEXT),
+                     dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"effect must be a 2x2 matrix, got shape {m.shape}")
         (a, b), (c, d) = m.tolist()
-        # |a - conj(a)| = hypot(Re a - Re a, 2 Im a), and Re a - Re a is 0,
-        # or NaN if Re a is not finite; likewise for d
-        if not (math.isfinite(a.real) and math.isfinite(d.real)
-                and abs(a.imag + a.imag) <= HERMITIAN_TOL
-                and abs(d.imag + d.imag) <= HERMITIAN_TOL
-                and math.hypot(b.real - c.real, b.imag + c.imag) <= HERMITIAN_TOL):
-            raise ValueError("non-Hermitian effect")
-        if not _is_psd(a.real + PSD_TOL, d.real + PSD_TOL, c):
-            raise ValueError("non-positive effect")
+        _check_entries(a, b, c, d)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_entries", (a, b, c, d))
+
+    @classmethod
+    def _from_rows(cls, rows) -> "Effect":
+        """The effect ((exx, exy), (exy, eyy)) of real floats, checked as
+        `Effect(rows)` checks it, in the same float operations."""
+        (a, b), (c, d) = rows
+        _check_entries(a, b, c, d)
+        effect = object.__new__(cls)
+        object.__setattr__(effect, "_entries", (a, b, c, d))
+        return effect
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: the matrix of an
+        # effect from _from_rows or a pickle, kept once built
+        entries = self.__dict__.get("_entries")
+        if name != "matrix" or entries is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        a, b, c, d = entries
+        m = np.array(((a, b), (c, d)), dtype=complex)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        return m
+
+    def __getstate__(self) -> dict:
+        return {"_entries": self._entries}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Effect):
             return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
+        return self._entries == other._entries
 
     @classmethod
     def projector(cls, state: PureState) -> "Effect":
@@ -219,22 +270,30 @@ class Povm:
     EFFECT_MAX*I - M: with x = EFFECT_MAX - Re a and y = EFFECT_MAX - Re d,
     x >= 0, y >= 0 and x*y >= |c|*|c|.
 
-    Both tests run in one pass over the members, in Python numbers: each
-    entry is summed as a complex in member order, one float add each for its
-    real and imaginary parts, so the sum is bit for bit numpy's axis-0 sum of
-    the stacked matrices.  An incomplete POVM is reported before an
-    oversized member.  Members must be `Effect`s (any iterable of them is
-    kept as a tuple); `validate_povm` takes raw matrices.
+    Both tests run in one pass over the members' stored entries, in Python
+    numbers: each entry is summed in member order, one float add each for
+    its real and (for a complex entry) imaginary part, so the sum is bit for
+    bit numpy's axis-0 sum of the stacked matrices.  An incomplete POVM is
+    reported before an oversized member.  Members must be `Effect`s (any
+    iterable of them is kept as a tuple); `validate_povm` takes raw matrices.
     """
 
     effects: tuple[Effect, ...]
     __hash__ = None  # type: ignore[assignment]  # its effects are unhashable
 
     def __post_init__(self) -> None:
-        effects = tuple(self.effects)
+        try:
+            members = iter(self.effects)
+        except TypeError:
+            raise ValueError(
+                f"POVM members must be an iterable of Effects, got {self.effects!r}"
+            ) from None
+        effects = tuple(members)
         if not effects:
             raise ValueError("POVM needs at least one effect")
-        sa = sb = sc = sd = 0j
+        # a real start keeps the sums of real entries real, and adds to a
+        # complex entry as 0j does
+        sa = sb = sc = sd = 0.0
         oversized = False
         for e in effects:
             if not isinstance(e, Effect):
@@ -242,7 +301,7 @@ class Povm:
                     f"POVM members must be Effects, got {type(e).__name__}: "
                     "validate_povm takes raw matrices"
                 )
-            (a, b), (c, d) = e.matrix.tolist()
+            a, b, c, d = e._entries
             sa, sb, sc, sd = sa + a, sb + b, sc + c, sd + d
             oversized = oversized or not _is_psd(EFFECT_MAX - a.real, EFFECT_MAX - d.real, c)
         if not (math.hypot(sa.real - 1.0, sa.imag) <= COMPLETENESS_TOL

@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mesd import oracle
+from mesd import oracle, qcore
 from mesd.analytic import (
     MirrorEnsemble,
     TwoStateScenario,
@@ -687,3 +689,63 @@ def test_optimize_three_calls_no_numpy_linear_algebra(monkeypatch):
         r = optimize_three(MirrorEnsemble(theta, p))
         assert r.success - 1e-12 <= reference_three(theta, p) <= r.dual_bound + 1e-12, (theta, p)
         assert r.success <= r.dual_bound, (theta, p)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: optimize_three(MirrorEnsemble(0.7, 0.2)),
+    lambda: optimize_three(TRINE),
+    lambda: optimize_two(make_state(0.0), make_state(0.5), 0.3),
+], ids=["three", "trine", "two"])
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_oracle_result_survives_pickle_and_deepcopy(solve, clone):
+    result = solve()
+    twin = clone(result)
+    assert twin == result
+    assert [e.matrix.tobytes() for e in twin.povm.effects] == \
+        [e.matrix.tobytes() for e in result.povm.effects]
+    assert all(not e.matrix.flags.writeable for e in twin.povm.effects)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, HALF_PI])
+@pytest.mark.parametrize("prior", ["0", "1/3", "p*", "1/2"])
+def test_optimize_three_validates_its_povm_without_numpy(monkeypatch, theta, prior):
+    # effects are checked from their rows: no numpy in qcore or in oracle
+    class NoNumpy:
+        def __init__(self, module):
+            self.module = module
+
+        def __getattr__(self, name):
+            raise AssertionError(f"{self.module}.np.{name} used")
+
+    p = {"0": 0.0, "1/3": 1 / 3, "p*": threshold_prior(theta), "1/2": 0.5}[prior]
+    ensemble = MirrorEnsemble(theta, p)
+    expected = optimize_three(ensemble)
+    with monkeypatch.context() as patch:
+        patch.setattr(qcore, "np", NoNumpy("qcore"))
+        patch.setattr(oracle, "np", NoNumpy("oracle"))
+        result = optimize_three(ensemble)
+    assert result == expected
+    assert (result.success, result.dual_bound, result.evaluations) == \
+        (expected.success, expected.dual_bound, expected.evaluations)
+    assert [e.matrix.tobytes() for e in result.povm.effects] == \
+        [e.matrix.tobytes() for e in expected.povm.effects]
+
+
+@pytest.mark.parametrize("solve,match", [
+    (lambda: optimize_two(make_state(0.0), make_state(1.0), 0.5, refine_iters="a"),
+     "refine_iters must be >= 0, got a"),
+    (lambda: optimize_two(make_state(0.0), make_state(1.0), 0.5, refine_iters=None),
+     "refine_iters must be >= 0, got None"),
+    (lambda: optimize_two(make_state(0.0), make_state(1.0), 0.5, refine_iters=1j),
+     "refine_iters must be >= 0, got 1j"),
+    (lambda: optimize_three(TRINE, grid_n=None), "got None, 200"),
+    (lambda: optimize_three(TRINE, grid_n="64"), "got 64, 200"),
+    (lambda: optimize_three(TRINE, refine_iters="a"), "got 64, a"),
+    (lambda: optimize_three(TRINE, refine_iters=np.array([1, 2])), r"got 64, \[1 2\]"),
+], ids=["two-text", "two-none", "two-complex", "three-none", "three-text",
+        "three-refine-text", "three-array"])
+def test_non_number_knobs_raise_value_error(solve, match):
+    # the comparison with a bound raised TypeError, or numpy's ambiguous truth value
+    with pytest.raises(ValueError, match=match):
+        solve()

@@ -1,5 +1,8 @@
 import collections.abc
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -529,3 +532,134 @@ def test_overflowing_sum_is_incomplete_without_a_warning(members):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^incomplete POVM$"):
             Povm(effects)
+
+
+# floats at the edges of the entry checks: signed zeros, subnormals, huge,
+# negative and non-finite values, mixed with ordinary ones
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-12, -1e-12, 0.5, 1.0,
+                     1e150, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 2.0),
+)
+ROWS = st.builds(lambda xx, xy, yy: ((xx, xy), (xy, yy)), EDGE_FLOATS, EDGE_FLOATS, EDGE_FLOATS)
+
+
+def _outcome(build):
+    """The built value, or the message of the ValueError it raised."""
+    try:
+        return build()
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ROWS)
+def test_rows_constructor_matches_the_public_one(rows):
+    fast = _outcome(lambda: Effect._from_rows(rows))
+    slow = _outcome(lambda: Effect(rows))
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert isinstance(fast, Effect)
+    assert fast == slow
+    assert tuple(complex(v) for v in fast._entries) == slow._entries
+    assert fast.matrix.tobytes() == slow.matrix.tobytes()
+    assert (fast.matrix.dtype, fast.matrix.shape) == (slow.matrix.dtype, slow.matrix.shape)
+    assert not fast.matrix.flags.writeable
+    assert fast.matrix is fast.matrix  # built once
+    assert repr(fast) == repr(slow)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(ROWS, st.booleans()), min_size=1, max_size=3))
+def test_povm_of_rows_effects_matches_validate_povm(members):
+    # rows effects (real entries) mixed with parsed ones (complex entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from a sum
+        fast = _outcome(lambda: Povm([Effect._from_rows(r) if f else Effect(r)
+                                      for r, f in members]))
+    slow = _outcome(lambda: validate_povm([np.array(r) for r, _ in members]))
+    assert fast == slow
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Effect(np.eye(2)),
+    lambda: Effect(np.array([[0.5, 0.5j], [-0.5j, 0.5]])),
+    lambda: Effect._from_rows(((0.25, -0.0), (-0.0, 1.0))),
+    lambda: Effect.projector(make_state(0.3)),
+], ids=["public", "complex", "rows", "projector"])
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
+                                   copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_effect_survives_pickle_and_copy(build, clone):
+    effect = build()
+    twin = clone(effect)
+    assert twin == effect and twin is not effect
+    assert twin.matrix.tobytes() == effect.matrix.tobytes()
+    assert not twin.matrix.flags.writeable
+    assert repr(twin) == repr(effect)
+    # and after the original's matrix was read
+    assert clone(effect).matrix.tobytes() == effect.matrix.tobytes()
+
+
+@pytest.mark.parametrize("clone", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_povm_survives_pickle_and_deepcopy(clone):
+    povm = Povm([Effect._from_rows(((0.25, 0.0), (0.0, 0.5))), Effect(np.diag([0.75, 0.5]))])
+    twin = clone(povm)
+    assert twin == povm
+    assert [e.matrix.tobytes() for e in twin.effects] == [e.matrix.tobytes() for e in povm.effects]
+
+
+def test_effect_repr_names_its_matrix():
+    assert repr(Effect(np.eye(2))) == f"Effect(matrix={np.eye(2, dtype=complex)!r})"
+    assert repr(Effect._from_rows(((1.0, 0.0), (0.0, 1.0)))) == repr(Effect(np.eye(2)))
+
+
+def test_rows_effect_builds_only_its_matrix_lazily():
+    effect = Effect._from_rows(((1.0, 0.0), (0.0, 0.0)))
+    with pytest.raises(AttributeError, match="no attribute 'matric'"):
+        effect.matric  # noqa: B018
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        effect.matrix = np.eye(2)
+
+
+@pytest.mark.parametrize("matrix", [
+    [["1", "0"], ["0", "0"]],
+    np.array([["1", "0"], ["0", "0"]]),
+    np.array([[b"1", b"0"], [b"0", b"0"]]),
+    np.array([[1, 0], [0, 0]], dtype="timedelta64[s]"),
+    np.array([[1, 0], [0, 0]], dtype="datetime64[s]"),
+    np.array([[1, "0"], [0, 0]], dtype=object),
+    np.array([[1, 0], [b"0", 0]], dtype=object),
+    np.array([[1, 0], [0, bytearray(b"0")]], dtype=object),
+    np.array([[1, 0], [0, np.str_("0")]], dtype=object),
+], ids=["str-lists", "str", "bytes", "timedelta64", "datetime64", "object-str",
+        "object-bytes", "object-bytearray", "object-numpy-str"])
+def test_effect_rejects_text_and_datetimes(matrix):
+    # a complex cast would parse the text, or count the datetime's units
+    with pytest.raises(ValueError, match="^effect must be numeric, got "):
+        Effect(matrix)
+
+
+def test_povm_of_text_rejected():
+    with pytest.raises(ValueError, match="^effect must be numeric"):
+        validate_povm([[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]])
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[0.5, 0.5j], [-0.5j, 0.5]]),
+    np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=object),
+    [[1, 0], [0, 0]],
+    np.array([[True, False], [False, False]]),
+    np.array([[1, 0], [0, 0]], dtype=object),
+], ids=["complex", "object-complex", "int-lists", "bool", "object-int"])
+def test_effect_keeps_accepting_numbers(matrix):
+    assert np.array_equal(Effect(matrix).matrix, np.array(matrix, dtype=complex))
+
+
+@pytest.mark.parametrize("effects", [5, None, 0.5], ids=repr)
+def test_povm_of_no_iterable_raises_value_error(effects):
+    # tuple() of it raises TypeError, which must not escape
+    with pytest.raises(ValueError, match="^POVM members must be an iterable of Effects, got "):
+        Povm(effects)
